@@ -8,7 +8,7 @@ from redunquant.errors import DomainError, SynthesisFailedError
 from redunquant.reliable_gains import solve_care_newton
 
 from .conftest import random_gains, random_system
-from .oracles import brute_force_reliable
+from .oracles import brute_force_reliable, care_newton_kleinman
 
 
 class TestVerify:
@@ -71,21 +71,24 @@ class TestRiccati:
         for theta in (1.0, 4.0, 64.0):
             A = np.array([[1.0]])
             B = np.array([[1.0, 1.0]])
-            P = solve_care_newton(A, B, np.eye(2) / theta, np.eye(1))
+            R = np.eye(2) / theta
             expected = (1.0 + np.sqrt(1.0 + 2.0 * theta)) / (2.0 * theta)
-            # convergence is declared at residual 1e-9, so P carries ~1e-9
-            assert P[0, 0] == pytest.approx(expected, rel=1e-7)
+            assert solve_care_newton(A, B, R, np.eye(1))[0, 0] == pytest.approx(
+                expected, rel=1e-7
+            )
+            # the oracle stops at residual 1e-9, so its P carries ~1e-9
+            assert care_newton_kleinman(A, B, R, np.eye(1))[0, 0] == pytest.approx(
+                expected, rel=1e-7
+            )
 
-    def test_matches_scipy_care(self):
-        import scipy.linalg
-
+    def test_matches_newton_kleinman_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             d = int(rng.integers(2, 5))
             A = rng.uniform(-1.0, 1.0, (d, d))
             B = rng.uniform(-1.0, 1.0, (d, 2))
             P = solve_care_newton(A, B, np.eye(2), np.eye(d))
-            ref = scipy.linalg.solve_continuous_are(A, B, np.eye(d), np.eye(2))
+            ref = care_newton_kleinman(A, B, np.eye(2), np.eye(d))
             np.testing.assert_allclose(P, ref, rtol=1e-7, atol=1e-9)
 
 
@@ -122,6 +125,23 @@ class TestSynthesis:
             rq.SynthesisOptions(theta_max=0.5)
         with pytest.raises(DomainError):
             rq.SynthesisOptions(margin_floor=-1.0)
+
+    def test_d32_single_input_plant(self):
+        # the closed_form benchmark's d=32 synthesis plant; a Newton-Kleinman
+        # CARE solver's pole-shifting start fails to stabilize it, which
+        # surfaced as NumericalError (this test lets that propagate)
+        rng = np.random.default_rng([0, 32])
+        A = rng.uniform(-2.0, 2.0, (32, 32))
+        B = [rng.uniform(-2.0, 2.0, (32, 1)) for _ in range(4)]
+        S = rng.uniform(-1.0, 1.0, (32, 32)) + 1.5 * np.eye(32)
+        system = rq.MultiChannelSystem(A, B, rq.ConstantDiffusion(S))
+        try:
+            gains = rq.synthesize_gains(system)
+        except SynthesisFailedError as err:
+            # the theta=1 Riccati gain stabilizes the nominal loop
+            assert err.best_report.abscissae[0] < 0.0
+        else:
+            assert rq.verify_reliable(system, gains).reliable
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)

@@ -170,7 +170,7 @@ class TestLyapunov:
         with pytest.raises(DomainError):
             rq.solve_lyapunov(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_matches_bartels_stewart(self):
+    def test_matches_kronecker_oracle(self):
         rng = seeded(11)
         for _ in range(20):
             A_cl = random_hurwitz(rng, 5)
@@ -178,6 +178,19 @@ class TestLyapunov:
             Q = W @ W.T + 0.1 * np.eye(5)
             P = rq.solve_lyapunov(A_cl, Q)
             np.testing.assert_allclose(P, lyapunov_reference(A_cl, Q), rtol=1e-8, atol=1e-10)
+
+    def test_d32_residual_and_kronecker_oracle(self):
+        rng = seeded(32)
+        A_cl = random_hurwitz(rng, 32)
+        W = rng.uniform(-1.0, 1.0, (32, 32))
+        Q = W @ W.T + 0.1 * np.eye(32)
+        P = rq.solve_lyapunov(A_cl, Q)
+        residual = np.linalg.norm(A_cl @ P + P @ A_cl.T + Q, "fro")
+        bound = 1e-10 * (
+            1.0 + np.linalg.norm(Q, "fro") + np.linalg.norm(A_cl, "fro") * np.linalg.norm(P, "fro")
+        )
+        assert residual <= bound
+        np.testing.assert_allclose(P, lyapunov_reference(A_cl, Q), rtol=1e-8, atol=1e-10)
 
     @given(seed=st.integers(0, 10_000), d=st.integers(1, 6))
     @settings(max_examples=30)
