@@ -42,11 +42,9 @@ def main():
         print(f"  h={h:6.3f}  residual={res:.3e}")
     (args.out / "fp_residual.csv").write_text("\n".join(lines) + "\n")
 
-    # past ~1000 cells/axis the inverse-iteration round-off floor reaches
-    # the solver's negativity guard, so the study stays within that range
     lines = ["n_cells,l1_error"]
     print("\ngrid solver L1 error vs resolution:")
-    for n in (101, 201, 401, 801):
+    for n in (101, 201, 401, 801, 1601, 3201):
         box = rq.Box([-6.0], [6.0], [n])
         solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
         l1 = float(np.abs(solved.values - discretized(exact, box).values).sum() * box.cell_volume)

@@ -8,7 +8,8 @@ Three routes produce the stationary law of
   with per-path keyed RNG streams, for any sigma;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
-  for d in {1, 2}.
+  for d in {1, 2}, whose null vector comes from one sparse LU solve with
+  a single balance row replaced by a pin.
 
 ``fp_residual`` applies the central-difference stationary operator to any
 density so the three routes can be cross-checked.
@@ -541,6 +542,46 @@ def _assemble_fv_operator(
     ).tocsc()
 
 
+def _pinned_null_vector(L: scipy.sparse.csc_matrix, pin: int) -> np.ndarray:
+    """Null vector of a zero-flux operator ``L``, scaled so ``v[pin] = 1``.
+
+    The columns of ``L`` sum to zero, so any one balance row is implied by
+    the others: row ``pin`` is replaced by ``v[pin] = 1`` and the result is
+    factored once (minimum-degree ordering on the pattern of A + A^T) and
+    solved once. An exactly singular factor, or a pivot ratio
+    ``min|U_ii| / max|U_ii|`` below round-off, means the null space is not
+    one-dimensional (NonUniqueError); a relative residual
+    ``||L v|| / (scale ||v||)`` above 1e-9 raises NumericalError.
+    """
+    n = L.shape[0]
+    scale = float(np.abs(L.data).max()) if L.nnz else 1.0
+    pinned = L.copy()
+    pinned.data[pinned.indices == pin] = 0.0  # CSC: indices are row numbers
+    # the sum drops the zeroed entries, so they add no structural fill
+    pinned = pinned + scipy.sparse.csc_matrix(([1.0], ([pin], [pin])), shape=(n, n))
+    try:
+        lu = scipy.sparse.linalg.splu(pinned, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise NumericalError(f"sparse factorization failed: {exc}") from exc
+        ratio = 0.0
+    else:
+        pivots = np.abs(lu.U.diagonal())
+        ratio = float(pivots.min() / pivots.max())
+    if ratio < 1e-12:
+        raise NonUniqueError(
+            "discrete stationary operator has a multi-dimensional null space "
+            f"(LU pivot ratio {ratio:.3e})"
+        )
+    rhs = np.zeros(n)
+    rhs[pin] = 1.0
+    v = lu.solve(rhs)
+    res = float(np.linalg.norm(L @ v)) / (scale * float(np.linalg.norm(v)))
+    if not res <= 1e-9:  # also catches NaN from a broken-down solve
+        raise NumericalError(f"pinned solve left relative residual {res!r}")
+    return v
+
+
 def solve_stationary_fp_grid(
     sys: MultiChannelSystem,
     gains: GainSet,
@@ -551,9 +592,11 @@ def solve_stationary_fp_grid(
 ) -> GridDensity:
     """Stationary density on a box: null vector of the zero-flux operator.
 
-    The null vector is extracted by inverse iteration with a tiny shift;
-    a deflated second iteration guards against a degenerate null space
-    (NonUniqueError). Entries below -1e-10 of the peak raise
+    One pinned direct solve (``_pinned_null_vector``) fixes the cell nearest
+    the origin, where the zero-mean stationary law peaks. It raises
+    NonUniqueError when the operator does not determine the density
+    uniquely, and NumericalError when the factorization fails or the
+    relative residual exceeds 1e-9. Entries below -1e-10 of the peak raise
     NumericalError; smaller negative round-off is clamped to zero before
     normalization.
     """
@@ -572,54 +615,8 @@ def solve_stationary_fp_grid(
         raise DimensionError(f"box dimension {box.dim} does not match state dimension {sys.d}")
 
     L = _assemble_fv_operator(sys, A_j, eps, box)
-    n = L.shape[0]
-    scale = float(np.abs(L.data).max()) if L.nnz else 1.0
-    shift = 1e-12 * scale
-    try:
-        lu = scipy.sparse.linalg.splu((L - shift * scipy.sparse.identity(n, format="csc")).tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorization failed: {exc}") from exc
-
-    # deterministic positive start: a broad Gaussian bump on the box
-    pts = box.center_points()
-    mid = 0.5 * (box.lo + box.hi)
-    width = box.widths / 4.0
-    v = np.exp(-0.5 * np.sum(((pts - mid) / width) ** 2, axis=1))
-    v /= np.linalg.norm(v)
-
-    res = np.inf
-    for _ in range(200):
-        v = lu.solve(v)
-        nrm = np.linalg.norm(v)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise NumericalError("inverse iteration broke down")
-        v /= nrm
-        res = float(np.linalg.norm(L @ v)) / scale
-        if res <= 1e-12:
-            break
-    if res > 1e-9:
-        raise NumericalError(f"inverse iteration stalled at relative residual {res!r}")
-    if v.sum() < 0.0:
-        v = -v
-
-    # deflated second iteration: a second near-null vector means the
-    # discrete operator does not determine the density uniquely
-    if n >= 3:
-        w = np.linspace(-1.0, 1.0, n)
-        w -= (v @ w) * v
-        nrm = np.linalg.norm(w)
-        w /= nrm
-        for _ in range(30):
-            w = lu.solve(w)
-            w -= (v @ w) * v
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                break
-            w /= nrm
-        if nrm > 0.0 and float(np.linalg.norm(L @ w)) / scale <= 1e-10:
-            raise NonUniqueError(
-                "discrete stationary operator has a multi-dimensional null space"
-            )
+    origin = np.clip(np.floor(-box.lo / box.cell_widths), 0, box.n - 1).astype(int)
+    v = _pinned_null_vector(L, int(np.ravel_multi_index(tuple(origin), tuple(box.n))))
 
     values = v.reshape(tuple(box.n))
     total = values.sum() * box.cell_volume

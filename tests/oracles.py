@@ -4,11 +4,15 @@ Everything here deliberately avoids the library's own code paths:
 entropies and divergences come from adaptive quadrature of the defining
 integrals, reliability from characteristic-polynomial root finding,
 Lyapunov solutions from the dense Kronecker-vectorized system (the library
-uses Bartels-Stewart), and stabilizing Riccati solutions from the
-Newton-Kleinman iteration (the library uses the Schur method).
+uses Bartels-Stewart), stabilizing Riccati solutions from the
+Newton-Kleinman iteration (the library uses the Schur method), and null
+vectors of the finite-volume stationary operator from shifted inverse
+iteration (the library uses one pinned direct solve).
 """
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import quad
 
 
@@ -110,3 +114,37 @@ def care_newton_kleinman(A, B, R, Q):
         if residual <= 1e-9 * scale:
             return P
     raise AssertionError(f"Newton-Kleinman did not converge (residual {residual!r})")
+
+
+def null_vector_inverse_iteration(L, start):
+    """Unit null vector of a sparse singular operator, positive sum.
+
+    Inverse iteration on L - 1e-12 * scale * I from ``start`` until the
+    relative residual ||L v|| / scale is at most 1e-12. A deflated second
+    iteration (30 solves, orthogonal to v) then asserts that no second
+    null vector exists.
+    """
+    n = L.shape[0]
+    scale = float(np.abs(L.data).max())
+    lu = scipy.sparse.linalg.splu(
+        (L - 1e-12 * scale * scipy.sparse.identity(n, format="csc")).tocsc()
+    )
+    v = np.asarray(start, float) / np.linalg.norm(start)
+    for _ in range(200):
+        v = lu.solve(v)
+        v /= np.linalg.norm(v)
+        res = float(np.linalg.norm(L @ v)) / scale
+        if res <= 1e-12:
+            break
+    assert res <= 1e-9, f"inverse iteration stalled at relative residual {res!r}"
+    if v.sum() < 0.0:
+        v = -v
+    w = np.linspace(-1.0, 1.0, n)
+    w -= (v @ w) * v
+    for _ in range(30):
+        w /= np.linalg.norm(w)
+        w = lu.solve(w)
+        w -= (v @ w) * v
+    w /= np.linalg.norm(w)
+    assert float(np.linalg.norm(L @ w)) / scale > 1e-10, "second null vector"
+    return v

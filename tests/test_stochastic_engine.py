@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import redunquant as rq
 from redunquant.errors import (
     DivergenceError,
     DomainError,
+    NonUniqueError,
     NotHurwitzError,
     OutOfBoxError,
     UnsupportedDiffusionError,
 )
-from redunquant.stochastic_engine import smoothed_empirical_density
+from redunquant.stochastic_engine import (
+    _assemble_fv_operator,
+    _pinned_null_vector,
+    smoothed_empirical_density,
+)
 
-from .oracles import lyapunov_reference
+from .oracles import lyapunov_reference, null_vector_inverse_iteration
 
 
 def _discretized(g: rq.GaussianDensity, box: rq.Box) -> rq.GridDensity:
@@ -233,6 +239,16 @@ class TestGridSolver:
         l1 = np.abs(solved.values - exact.values).sum() * box.cell_volume
         assert l1 <= 1e-3
 
+    @pytest.mark.parametrize("n", [1601, 3201])
+    def test_ou_matches_analytic_fine_grid(self, ou_system, n):
+        # the inverse-iteration solver tripped its negativity guard here
+        system, gains = ou_system
+        box = rq.Box([-6.0], [6.0], [n])
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
+        exact = _discretized(rq.stationary_gaussian(system, gains, 0, 1.0), box)
+        l1 = np.abs(solved.values - exact.values).sum() * box.cell_volume
+        assert l1 <= 1e-3
+
     def test_symmetric_output(self, ou_system):
         system, gains = ou_system
         box = rq.Box([-5.0], [5.0], [400])
@@ -290,3 +306,25 @@ class TestGridSolver:
         solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0)
         residual = rq.fp_residual(solved, system, gains, 0, 1.0)
         assert residual <= 1e-2
+
+    def test_matches_inverse_iteration_oracle(self):
+        A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
+        S = np.array([[1.0, 0.4], [0.0, 0.9]])
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+        gains = rq.GainSet([np.zeros((1, 2))])
+        std = np.sqrt(np.diag(rq.stationary_gaussian(system, gains, 0, 1.0).cov)).max()
+        box = rq.Box([-6 * std, -6 * std], [6 * std, 6 * std], [121, 121])
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
+        bump = np.exp(-0.5 * np.sum((box.center_points() / (box.widths / 4)) ** 2, axis=1))
+        v = null_vector_inverse_iteration(_assemble_fv_operator(system, A, 1.0, box), bump)
+        ref = v.reshape(tuple(box.n)) / (v.sum() * box.cell_volume)
+        assert np.abs(solved.values - ref).max() <= 1e-8 * ref.max()
+
+    def test_disconnected_operator_raises_non_unique(self, ou_system):
+        # two decoupled zero-flux blocks: a two-dimensional null space that a
+        # valid S S^T never produces through the public API
+        system, _ = ou_system
+        box = rq.Box([-6.0], [6.0], [201])
+        L = _assemble_fv_operator(system, np.array([[-1.0]]), 1.0, box)
+        with pytest.raises(NonUniqueError):
+            _pinned_null_vector(scipy.sparse.block_diag([L, L], format="csc"), 100)
