@@ -17,7 +17,7 @@ The printed 1/(2N) normalization is the default; ``avg_normalization =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .stochastic_engine import (
     default_stationary_box,
     derived_seed,
     empirical_density,
+    euler_endpoints,
     sample_box,
     simulate_sde,
     smoothed_empirical_density,
@@ -146,6 +147,14 @@ def systemic_redundancy(
     ``method`` selects how the N+1 stationary densities are produced:
     exact Gaussians (constant sigma only), Euler-Maruyama histograms, or
     grid solutions of the stationary transport operator.
+
+    The Monte Carlo route draws the Euler endpoints exactly
+    (``euler_endpoints``) when sigma is constant and steps them
+    (``simulate_sde``) otherwise; provenance names the sampler
+    (``"exact_endpoint"`` or ``"euler_stepped"``) and carries batch-means
+    standard errors of each KL, the entropy and r over 10 fixed path
+    shards. Those cover sampling noise only, not histogram bias; below 20
+    paths they are nan.
     """
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}")
@@ -166,6 +175,8 @@ def systemic_redundancy(
     if method == "monte_carlo":
         if sys.d > 2:
             raise DimensionError("monte_carlo redundancy supports d <= 2 (histogram KL)")
+        exact = isinstance(sys.sigma, ConstantDiffusion)
+        sampler = euler_endpoints if exact else simulate_sde
         mode_seeds = [derived_seed(seed, j) for j in range(n + 1)]
         sets = []
         horizons, dts = [], []
@@ -173,20 +184,12 @@ def systemic_redundancy(
             h_j, dt_j = default_sim_params(sys, gains, j)
             h_j = horizon if horizon is not None else h_j
             dt_j = dt if dt is not None else dt_j
-            sets.append(
-                simulate_sde(sys, gains, j, eps, h_j, dt_j, n_paths, mode_seeds[j])
-            )
+            sets.append(sampler(sys, gains, j, eps, h_j, dt_j, n_paths, mode_seeds[j]))
             horizons.append(h_j)
             dts.append(dt_j)
-        kls = []
-        for i in range(1, n + 1):
-            shared = sample_box([sets[0], sets[i]], hist_cells)
-            q_i, _ = empirical_density(sets[i], shared)
-            p_0 = smoothed_empirical_density(sets[0], shared)
-            kls.append(grid_kl(q_i, p_0))
-        own = sample_box([sets[0]], hist_cells)
-        h0, _ = empirical_density(sets[0], own)
-        entropy_term = grid_entropy(h0)
+        boxes = [sample_box([sets[0], sets[i]], hist_cells) for i in range(1, n + 1)]
+        boxes.append(sample_box([sets[0]], hist_cells))
+        kls, entropy_term = _histogram_terms(sets, boxes)
         prov = {
             "seed": seed,
             "mode_seeds": mode_seeds,
@@ -195,6 +198,8 @@ def systemic_redundancy(
             "dt": dts,
             "hist_cells": hist_cells,
             "reference_smoothing": 0.05,
+            "sampler": "exact_endpoint" if exact else "euler_stepped",
+            "standard_error": _batch_means_se(sets, boxes, normalization),
         }
         return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
 
@@ -226,6 +231,43 @@ def systemic_redundancy(
         "kl_mass_below_resolution": dropped,
     }
     return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
+
+
+def _histogram_terms(sets, boxes) -> tuple[list[float], float]:
+    """Histogram KL of each outage set against the smoothed nominal set on
+    their shared box ``boxes[i-1]``, and the nominal entropy on ``boxes[-1]``."""
+    kls = []
+    for s_i, box in zip(sets[1:], boxes):
+        q_i, _ = empirical_density(s_i, box)
+        kls.append(grid_kl(q_i, smoothed_empirical_density(sets[0], box)))
+    h0, _ = empirical_density(sets[0], boxes[-1])
+    return kls, grid_entropy(h0)
+
+
+#: Fixed number of contiguous path-index shards behind the batch-means
+#: standard errors of the Monte Carlo route.
+_SE_SHARDS = 10
+
+
+def _batch_means_se(sets, boxes, normalization: str) -> dict:
+    """Batch-means standard errors of each KL, the entropy and r.
+
+    The path indices split into ``_SE_SHARDS`` fixed contiguous shards; the
+    terms are re-evaluated on each shard with the boxes of the full-sample
+    estimate, and each SE is the shard standard deviation over
+    sqrt(_SE_SHARDS). This covers sampling noise only, not histogram bias.
+    Below two paths per shard every entry is nan.
+    """
+    n_paths = sets[0].n
+    if n_paths < 2 * _SE_SHARDS:
+        return {"kl_per_channel": [math.nan] * (len(sets) - 1), "entropy": math.nan, "r": math.nan}
+    rows = []
+    for k in range(_SE_SHARDS):
+        shard = slice(k * n_paths // _SE_SHARDS, (k + 1) * n_paths // _SE_SHARDS)
+        kls, entropy = _histogram_terms([replace(s, samples=s.samples[shard]) for s in sets], boxes)
+        rows.append([*kls, entropy, _assemble_report(kls, entropy, "monte_carlo", normalization).r])
+    se = np.std(rows, axis=0, ddof=1) / math.sqrt(_SE_SHARDS)
+    return {"kl_per_channel": se[:-2].tolist(), "entropy": float(se[-2]), "r": float(se[-1])}
 
 
 #: Solver outputs cannot resolve density values below this fraction of

@@ -4,8 +4,11 @@ Three routes produce the stationary law of
 ``dx = A_j x dt + eps * sigma(x) dW``:
 
 * ``stationary_gaussian`` — exact, for constant sigma (a Lyapunov solve);
-* ``simulate_sde`` + ``empirical_density`` — Euler-Maruyama Monte Carlo
-  with per-path keyed RNG streams, for any sigma;
+* ``euler_endpoints`` / ``simulate_sde`` + ``empirical_density`` —
+  Euler-Maruyama Monte Carlo. For constant sigma the Euler endpoint is an
+  exact Gaussian, drawn directly from one RNG stream; ``simulate_sde``
+  steps every path through the recursion with per-path keyed streams and
+  covers any sigma;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
@@ -133,6 +136,39 @@ def default_sim_params(
     return horizon, dt
 
 
+def _euler_setup(sys, gains, mode, eps, horizon, dt, n_paths, seed, x0):
+    """Validated (eps, dt, n_steps, seed, A_j, x0) of an Euler-Maruyama run."""
+    eps = float(eps)
+    dt = float(dt)
+    horizon = float(horizon)
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"eps must be a nonnegative real, got {eps!r}")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise DomainError(f"dt must be positive, got {dt!r}")
+    if horizon < dt:
+        raise DomainError("horizon must be at least one step")
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
+
+    A_j = closed_loop_matrix(sys, gains, mode)
+    n_steps = max(1, int(round(horizon / dt)))
+    if x0 is None:
+        x0 = np.zeros(sys.d)
+    else:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.size != sys.d:
+            raise DimensionError(f"x0 has dimension {x0.size}, expected {sys.d}")
+    return eps, dt, n_steps, seed, A_j, x0
+
+
+def _diverged(x: np.ndarray) -> np.ndarray:
+    """Rows of x that are non-finite or beyond the divergence limit."""
+    return ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > _DIVERGENCE_LIMIT)
+
+
 def _chunk_weights(M: np.ndarray, E: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """Unrolled one-step map over ``span`` Euler steps for constant noise.
 
@@ -174,33 +210,13 @@ def simulate_sde(
     precomputed step weights. Any state with |x| > 1e12 (or a non-finite
     value) aborts with DivergenceError carrying the offending path index.
     """
-    eps = float(eps)
-    dt = float(dt)
-    horizon = float(horizon)
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"eps must be a nonnegative real, got {eps!r}")
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise DomainError(f"dt must be positive, got {dt!r}")
-    if horizon < dt:
-        raise DomainError("horizon must be at least one step")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError("seed must be nonnegative")
-
-    A_j = closed_loop_matrix(sys, gains, mode)
+    eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
+        sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
+    )
     d = sys.d
     m = sys.sigma.m
     constant = isinstance(sys.sigma, ConstantDiffusion)
-    n_steps = max(1, int(round(horizon / dt)))
     sqrt_dt = np.sqrt(dt)
-    if x0 is None:
-        x0 = np.zeros(d)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != d:
-            raise DimensionError(f"x0 has dimension {x0.size}, expected {d}")
 
     step_map = np.eye(d) + dt * A_j
     noise_gain = (eps * sqrt_dt) * sys.sigma.matrix if constant else None
@@ -243,7 +259,7 @@ def simulate_sde(
                     for k in range(span):
                         x += dt * (x @ A_j.T) + amp * sys.sigma.diag_at(x) * noise[:, k]
                 done += span
-                bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > _DIVERGENCE_LIMIT)
+                bad = _diverged(x)
                 if np.any(bad):
                     idx = start + int(np.argmax(bad))
                     raise DivergenceError(
@@ -255,6 +271,86 @@ def simulate_sde(
     finally:
         if pool is not None:
             pool.shutdown()
+    return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
+
+
+def euler_endpoint_law(M: np.ndarray, Q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(M^n, C_n)`` with ``C_n = sum_{j<n} M^j Q M^j^T``, by binary doubling.
+
+    The bits of n are read from the most significant one: doubling k -> 2k
+    uses ``C_2k = C_k + M^k C_k M^k^T`` and a set bit k -> k+1 uses
+    ``C_{k+1} = Q + M C_k M^T``. O(d^3 log n) for every M, Schur-stable or
+    not; an M with spectral radius above 1 may overflow to non-finite
+    entries, which the caller reports as divergence.
+    """
+    power = np.eye(M.shape[0])
+    cov = np.zeros_like(power)
+    for bit in bin(int(n))[2:]:
+        cov = cov + power @ cov @ power.T
+        power = power @ power
+        if bit == "1":
+            cov = Q + M @ cov @ M.T
+            power = M @ power
+    return power, 0.5 * (cov + cov.T)
+
+
+def euler_endpoints(
+    sys: MultiChannelSystem,
+    gains: GainSet,
+    mode: int,
+    eps: float,
+    horizon: float,
+    dt: float,
+    n_paths: int,
+    seed: int,
+    x0: np.ndarray | None = None,
+) -> SampleSet:
+    """Exact draws of the Euler-Maruyama endpoint, for constant sigma.
+
+    With ``M = I + dt A_j`` and ``E = eps sqrt(dt) S``, the Euler recursion
+    ``x_{k+1} = M x_k + E xi_k`` ends after ``n = round(horizon/dt)`` steps
+    at ``N(M^n x0, C_n)`` with ``C_n = sum_{j<n} M^j E E^T M^j^T``
+    (``euler_endpoint_law``), so this samples the same law as
+    ``simulate_sde`` with d normals per path instead of n*m. The normals
+    come from one SFC64 stream seeded by ``seed`` as one (n_paths, d)
+    block, row i for path i, so the first k paths do not depend on
+    ``n_paths``; the endpoints are those rows times a Cholesky factor of
+    C_n (positive definite for eps > 0, since C_n >= E E^T and S S^T is
+    elliptic). eps = 0 returns ``M^n x0`` exactly. Arguments and
+    validation are those of ``simulate_sde``. Its divergence contract is
+    checked at the endpoint only: a non-finite endpoint, or one with
+    |x| > 1e12, raises DivergenceError carrying the first such path index.
+    """
+    if not isinstance(sys.sigma, ConstantDiffusion):
+        raise UnsupportedDiffusionError(
+            "exact endpoint sampling requires constant sigma; use simulate_sde"
+        )
+    eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
+        sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
+    )
+    noise_gain = (eps * np.sqrt(dt)) * sys.sigma.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, cov = euler_endpoint_law(
+            np.eye(sys.d) + dt * A_j, noise_gain @ noise_gain.T, n_steps
+        )
+        samples = np.tile(power @ x0, (n_paths, 1))
+        if eps > 0.0:
+            try:
+                chol = np.linalg.cholesky(cov)  # non-finite in, non-finite out
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"endpoint covariance is not positive definite in floating point: {exc}"
+                ) from exc
+            rng = np.random.Generator(np.random.SFC64(seed))
+            samples += rng.standard_normal((n_paths, sys.d)) @ chol.T
+    bad = _diverged(samples)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise DivergenceError(
+            f"endpoint {idx} diverged after {n_steps} steps "
+            "(non-Hurwitz mode or dt too large?)",
+            path_index=idx,
+        )
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 

@@ -5,9 +5,11 @@ entropies and divergences come from adaptive quadrature of the defining
 integrals, reliability from characteristic-polynomial root finding,
 Lyapunov solutions from the dense Kronecker-vectorized system (the library
 uses Bartels-Stewart), stabilizing Riccati solutions from the
-Newton-Kleinman iteration (the library uses the Schur method), and null
+Newton-Kleinman iteration (the library uses the Schur method), null
 vectors of the finite-volume stationary operator from shifted inverse
-iteration (the library uses one pinned direct solve).
+iteration (the library uses one pinned direct solve), and the Euler
+endpoint covariance from a plain term-by-term sum (the library uses
+binary doubling).
 """
 
 import numpy as np
@@ -148,3 +150,14 @@ def null_vector_inverse_iteration(L, start):
     w /= np.linalg.norm(w)
     assert float(np.linalg.norm(L @ w)) / scale > 1e-10, "second null vector"
     return v
+
+
+def euler_endpoint_cov_reference(M, Q, n):
+    """(M^n, sum_{j<n} M^j Q M^j^T) accumulated one term at a time."""
+    M = np.asarray(M, float)
+    power = np.eye(M.shape[0])
+    cov = np.zeros_like(power)
+    for _ in range(n):
+        cov += power @ Q @ power.T
+        power = M @ power
+    return power, cov

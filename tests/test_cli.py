@@ -293,3 +293,18 @@ class TestMainEntryPoint:
             outs.append(out)
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_monte_carlo_redundancy_byte_identical_runs(self, tmp_path):
+        config = write_config(tmp_path, SCALAR_CONFIG)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            result = self.run_cli(
+                "redundancy", "--config", str(config), "--out", str(out),
+                "--method", "monte_carlo", "--seed", "7",
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out)
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        report = reporting.parse_report(outs[0] / "report.json")
+        assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "exact_endpoint"

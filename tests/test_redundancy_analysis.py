@@ -106,6 +106,44 @@ class TestSystemicRedundancy:
         assert report.r == pytest.approx(R_SCALAR_EPS_01, abs=0.15)
         assert report.provenance["mode_seeds"][0] != report.provenance["mode_seeds"][1]
 
+    def test_monte_carlo_sampler_follows_sigma_type(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        exact = rq.systemic_redundancy(system, gains, 0.1, "monte_carlo", seed=3, n_paths=2000)
+        assert exact.provenance["sampler"] == "exact_endpoint"
+        affine = rq.MultiChannelSystem(
+            [[1.0]], [[[1.0]], [[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
+        )
+        stepped = rq.systemic_redundancy(
+            affine, gains, 0.1, "monte_carlo", seed=3, n_paths=200, horizon=5.0, dt=1e-2
+        )
+        assert stepped.provenance["sampler"] == "euler_stepped"
+        for report in (exact, stepped):
+            se = report.provenance["standard_error"]
+            assert len(se["kl_per_channel"]) == 2
+            assert all(v > 0.0 for v in (*se["kl_per_channel"], se["entropy"], se["r"]))
+
+    def test_monte_carlo_standard_error_shrinks_with_paths(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        se = [
+            rq.systemic_redundancy(system, gains, 0.1, "monte_carlo", seed=8, n_paths=n)
+            .provenance["standard_error"]["r"]
+            for n in (2_000, 50_000)
+        ]
+        # sampling noise falls like 1/sqrt(n): a factor 5 here
+        assert 2.0 < se[0] / se[1] < 12.0
+
+    @pytest.mark.parametrize("n_paths", [19, 20])
+    def test_monte_carlo_standard_error_needs_two_paths_per_shard(self, scalar_two_channel, n_paths):
+        system, gains = scalar_two_channel
+        report = rq.systemic_redundancy(system, gains, 0.1, "monte_carlo", seed=4, n_paths=n_paths)
+        se = report.provenance["standard_error"]
+        values = [*se["kl_per_channel"], se["entropy"], se["r"]]
+        assert len(values) == 4
+        if n_paths < 20:
+            assert all(math.isnan(v) for v in values)
+        else:
+            assert all(math.isfinite(v) for v in values)
+
     def test_finite_kl_for_reliable_constant_sigma(self):
         rng = np.random.default_rng(44)
         for _ in range(5):

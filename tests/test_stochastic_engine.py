@@ -14,10 +14,16 @@ from redunquant.errors import (
 from redunquant.stochastic_engine import (
     _assemble_fv_operator,
     _pinned_null_vector,
+    euler_endpoint_law,
     smoothed_empirical_density,
 )
 
-from .oracles import lyapunov_reference, null_vector_inverse_iteration
+from .conftest import random_hurwitz
+from .oracles import (
+    euler_endpoint_cov_reference,
+    lyapunov_reference,
+    null_vector_inverse_iteration,
+)
 
 
 def _discretized(g: rq.GaussianDensity, box: rq.Box) -> rq.GridDensity:
@@ -146,6 +152,86 @@ class TestSimulate:
             rq.simulate_sde(system, gains, 0, 1.0, 0.005, 0.01, 10, seed=1)
         with pytest.raises(DomainError):
             rq.simulate_sde(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
+
+
+class TestEulerEndpoints:
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("margin", [0.5, -0.5], ids=["schur_stable", "radius_above_1"])
+    def test_law_matches_term_by_term_oracle(self, d, n, margin):
+        # margin -0.5 puts the spectral abscissa of A at +0.5, so M = I + dt A
+        # has spectral radius > 1
+        rng = np.random.default_rng(100 * d + n)
+        M = np.eye(d) + 1e-2 * random_hurwitz(rng, d, margin=margin)
+        W = rng.uniform(-1.0, 1.0, (d, d))
+        Q = W @ W.T + 0.1 * np.eye(d)
+        power, cov = euler_endpoint_law(M, Q, n)
+        ref_power, ref_cov = euler_endpoint_cov_reference(M, Q, n)
+        assert np.linalg.norm(power - ref_power) <= 1e-12 * np.linalg.norm(ref_power)
+        assert np.linalg.norm(cov - ref_cov) <= 1e-12 * np.linalg.norm(ref_cov)
+        assert (max(abs(np.linalg.eigvals(M))) > 1.0) == (margin < 0.0)
+
+    def test_determinism(self, ou_system):
+        system, gains = ou_system
+        a = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
+        b = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
+        assert np.array_equal(a.samples, b.samples)
+        c = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=10)
+        assert not np.array_equal(a.samples, c.samples)
+
+    def test_path_prefix_independent_of_n_paths(self, ou_system):
+        system, gains = ou_system
+        small = rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 1e-2, 40, seed=3)
+        large = rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 1e-2, 160, seed=3)
+        assert np.array_equal(large.samples[:40], small.samples)
+
+    def test_zero_noise_is_mean_map(self):
+        A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(np.eye(2)))
+        gains = rq.GainSet([np.zeros((1, 2))])
+        x0 = np.array([2.0, -1.0])
+        out = rq.euler_endpoints(system, gains, 0, 0.0, 1.0, 1e-3, 3, seed=1, x0=x0)
+        expected = np.linalg.matrix_power(np.eye(2) + 1e-3 * A, 1000) @ x0
+        np.testing.assert_allclose(out.samples, np.tile(expected, (3, 1)), rtol=1e-12)
+
+    def test_divergence(self):
+        system = rq.MultiChannelSystem([[2.0]], [[[1.0]]], rq.ConstantDiffusion([[1.0]]))
+        with pytest.raises(DivergenceError) as err:
+            rq.euler_endpoints(system, rq.GainSet([[[0.0]]]), 0, 1.0, 30.0, 1e-2, 5, seed=2)
+        assert 0 <= err.value.path_index < 5
+
+    def test_diag_affine_unsupported(self):
+        system = rq.MultiChannelSystem(
+            [[-1.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.0])
+        )
+        with pytest.raises(UnsupportedDiffusionError):
+            rq.euler_endpoints(system, rq.GainSet([[[0.0]]]), 0, 1.0, 1.0, 1e-2, 10, seed=1)
+
+    def test_validation(self, ou_system):
+        system, gains = ou_system
+        with pytest.raises(DomainError):
+            rq.euler_endpoints(system, gains, 0, 1.0, 0.5, -0.1, 10, seed=1)
+        with pytest.raises(DomainError):
+            rq.euler_endpoints(system, gains, 0, 1.0, 0.005, 0.01, 10, seed=1)
+        with pytest.raises(DomainError):
+            rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
+
+    def test_covariance_matches_stepped_sampler(self):
+        # both samplers target the law of the same Euler endpoint
+        A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
+        S = np.array([[1.0, 0.4], [0.0, 0.9]])
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+        gains = rq.GainSet([np.zeros((1, 2))])
+        n = 10_000
+        exact = rq.euler_endpoints(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
+        stepped = rq.simulate_sde(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
+        _, law = euler_endpoint_law(np.eye(2) + 1e-2 * A, 1e-2 * S @ S.T, 500)
+        var = np.diag(law)
+        # sampling variance of a Gaussian covariance entry: (C_kk C_ll + C_kl^2) / n
+        se = np.sqrt((np.outer(var, var) + law**2) / n)
+        c_exact, c_stepped = np.cov(exact.T), np.cov(stepped.T)
+        assert np.all(np.abs(c_exact - law) <= 5.0 * se)
+        assert np.all(np.abs(c_exact - c_stepped) <= 5.0 * np.sqrt(2.0) * se)
 
 
 class TestEmpiricalDensity:
