@@ -25,8 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .densities import Box, GaussianDensity, GridDensity
 from .errors import (
@@ -52,7 +50,10 @@ from .system_model import (
 _DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 4000
 _MAX_NOISE_ELEMENTS = 20_000_000
-_FILL_WORKERS = min(4, os.cpu_count() or 1)
+# CPUs this process may run on; os.cpu_count() counts the host's
+_FILL_WORKERS = min(
+    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,39 +204,82 @@ def simulate_sde(
     """Euler-Maruyama endpoints of n_paths trajectories of the perturbed loop.
 
     Path i draws its noise from its own stream keyed by (seed, i), so the
-    result does not depend on batching, execution order or thread count;
-    the fill of independent streams is the one place worth threading. For
-    constant sigma the linear Euler recursion over each fixed-size chunk
-    is evaluated as a single matrix product of the chunk's noise with
-    precomputed step weights. Any state with |x| > 1e12 (or a non-finite
-    value) aborts with DivergenceError carrying the offending path index.
+    result does not depend on batching, execution order or thread count.
+    Paths run in blocks whose noise buffers hold at most
+    ``_MAX_NOISE_ELEMENTS`` doubles, ``_CHUNK_STEPS`` steps per path. For
+    diag_affine sigma these are two buffers of ``_CHUNK_STEPS // 2`` steps
+    (one when the run fits in it): while the main thread steps one, the
+    fill pool draws the next chunk of every stream into the other. Each
+    step ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
+    ``amp = eps sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
+    For constant sigma the linear recursion over a chunk is a single
+    matrix product of the chunk's noise with precomputed step weights, and
+    one full-size buffer is filled and stepped in turn.
+    Any state with |x| > 1e12 (or a non-finite value) at the end of a
+    chunk aborts with DivergenceError carrying the offending path index.
     """
     eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
         sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
     )
     d = sys.d
     m = sys.sigma.m
-    constant = isinstance(sys.sigma, ConstantDiffusion)
-    sqrt_dt = np.sqrt(dt)
-
+    amp = eps * np.sqrt(dt)
     step_map = np.eye(d) + dt * A_j
-    noise_gain = (eps * sqrt_dt) * sys.sigma.matrix if constant else None
-    weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    constant = isinstance(sys.sigma, ConstantDiffusion)
+    if constant:
+        noise_gain = amp * sys.sigma.matrix
+        weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+        def advance(x, noise):
+            nb, steps, _ = noise.shape
+            if steps not in weights:
+                weights[steps] = _chunk_weights(step_map, noise_gain, steps)
+            Phi, Pw = weights[steps]
+            return x @ Phi.T + noise.reshape(nb, steps * m) @ Pw
+
+    else:
+        amp_base = amp * sys.sigma.base[:, None]
+        amp_slope = amp * sys.sigma.slope[:, None]
+
+        def advance(x, noise):
+            # the state is stepped as (d, nb) so every broadcast runs along
+            # the paths, not along a length-d inner axis
+            x = np.ascontiguousarray(x.T)
+            y = np.empty_like(x)
+            kick = np.empty_like(x)
+            for k in range(noise.shape[1]):
+                np.abs(x, out=kick)
+                kick *= amp_slope
+                kick += amp_base
+                kick *= noise[:, k].T
+                np.matmul(step_map, x, out=y)
+                y += kick
+                x, y = y, x
+            return x.T
+
+    # diag_affine steps about as long as its noise takes to fill, so it
+    # double-buffers. Constant sigma steps a chunk with one BLAS call ~30x
+    # cheaper than the fill: overlapping the two saves little, and a
+    # multithreaded BLAS would contend with the fill threads for the CPUs.
+    n_bufs = 1 if constant or n_steps <= _CHUNK_STEPS // 2 else 2
+    span = min(_CHUNK_STEPS // n_bufs, n_steps)
+    spans = [min(span, n_steps - s) for s in range(0, n_steps, span)]
     block_paths = max(1, _MAX_NOISE_ELEMENTS // (_CHUNK_STEPS * m))
-    pool = ThreadPoolExecutor(_FILL_WORKERS) if _FILL_WORKERS > 1 else None
+    pool = ThreadPoolExecutor(_FILL_WORKERS)
 
-    def fill(gens, noise, span):
-        def worker(bounds):
-            lo, hi = bounds
+    def fill(gens, chunks, c):
+        """Submit the fill of chunk c (path i from gens[i]) over the pool."""
+        if c == len(chunks):
+            return []
+        noise = chunks[c]
+
+        def worker(lo, hi):
             for i in range(lo, hi):
-                gens[i].standard_normal(out=noise[i, :span])
+                gens[i].standard_normal(out=noise[i])
 
-        nb = len(gens)
-        if pool is None or nb < 64:
-            worker((0, nb))
-        else:
-            edges = np.linspace(0, nb, _FILL_WORKERS + 1, dtype=int)
-            list(pool.map(worker, list(zip(edges[:-1], edges[1:]))))
+        edges = np.linspace(0, len(gens), _FILL_WORKERS + 1, dtype=int)
+        return [pool.submit(worker, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
     samples = np.empty((n_paths, d))
     try:
@@ -243,22 +287,20 @@ def simulate_sde(
             stop = min(start + block_paths, n_paths)
             nb = stop - start
             gens = [_path_generator(seed, i) for i in range(start, stop)]
+            bufs = [np.empty((nb, span, m)) for _ in range(n_bufs)]
+            chunks = [bufs[c % n_bufs][:, :s] for c, s in enumerate(spans)]
             x = np.tile(x0, (nb, 1))
-            noise = np.empty((nb, _CHUNK_STEPS if n_steps > _CHUNK_STEPS else n_steps, m))
+            futures = fill(gens, chunks, 0)
             done = 0
-            while done < n_steps:
-                span = min(noise.shape[1], n_steps - done)
-                fill(gens, noise, span)
-                if constant:
-                    if span not in weights:
-                        weights[span] = _chunk_weights(step_map, noise_gain, span)
-                    Phi, Pw = weights[span]
-                    x = x @ Phi.T + noise[:, :span].reshape(nb, span * m) @ Pw
-                else:
-                    amp = eps * sqrt_dt
-                    for k in range(span):
-                        x += dt * (x @ A_j.T) + amp * sys.sigma.diag_at(x) * noise[:, k]
-                done += span
+            for c, noise in enumerate(chunks):
+                for future in futures:
+                    future.result()
+                if n_bufs == 2:  # the other buffer is free: fill it meanwhile
+                    futures = fill(gens, chunks, c + 1)
+                x = advance(x, noise)
+                if n_bufs == 1:  # refill the one buffer once it is stepped
+                    futures = fill(gens, chunks, c + 1)
+                done += noise.shape[1]
                 bad = _diverged(x)
                 if np.any(bad):
                     idx = start + int(np.argmax(bad))
@@ -269,8 +311,7 @@ def simulate_sde(
                     )
             samples[start:stop] = x
     finally:
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown(cancel_futures=True)
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 
@@ -536,6 +577,8 @@ def _assemble_fv_operator(
     cell volume); columns sum to zero, so total mass is conserved and the
     stationary density spans the null space.
     """
+    import scipy.sparse  # only the grid route needs it
+
     d = box.dim
     h = box.cell_widths
     half_eps2 = 0.5 * eps**2
@@ -649,6 +692,8 @@ def _pinned_null_vector(L: scipy.sparse.csc_matrix, pin: int) -> np.ndarray:
     one-dimensional (NonUniqueError); a relative residual
     ``||L v|| / (scale ||v||)`` above 1e-9 raises NumericalError.
     """
+    import scipy.sparse.linalg  # loads scipy.sparse too
+
     n = L.shape[0]
     scale = float(np.abs(L.data).max()) if L.nnz else 1.0
     pinned = L.copy()

@@ -9,7 +9,8 @@ Newton-Kleinman iteration (the library uses the Schur method), null
 vectors of the finite-volume stationary operator from shifted inverse
 iteration (the library uses one pinned direct solve), and the Euler
 endpoint covariance from a plain term-by-term sum (the library uses
-binary doubling).
+binary doubling), and stepped Euler endpoints from a per-path, per-step
+loop (the library steps blocks of paths over chunks of pre-drawn noise).
 """
 
 import numpy as np
@@ -161,3 +162,31 @@ def euler_endpoint_cov_reference(M, Q, n):
         cov += power @ Q @ power.T
         power = M @ power
     return power, cov
+
+
+def euler_stepped_reference(system, A_cl, eps, dt, n_steps, n_paths, seed, x0=None):
+    """Euler-Maruyama endpoints stepped one path and one step at a time.
+
+    Path i draws m normals per step from its own SFC64 stream keyed by
+    ``SeedSequence(seed, spawn_key=(i,))`` and applies
+    ``x <- x + dt A_cl x + eps sqrt(dt) sigma(x) xi``, with no chunking,
+    batching or threads.
+    """
+    A_cl = np.asarray(A_cl, float)
+    d = A_cl.shape[0]
+    sigma = system.sigma
+    amp = eps * np.sqrt(dt)
+    out = np.empty((n_paths, d))
+    for i in range(n_paths):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.SFC64(ss))
+        x = np.zeros(d) if x0 is None else np.array(x0, float)
+        for _ in range(n_steps):
+            xi = rng.standard_normal(sigma.m)
+            if hasattr(sigma, "matrix"):
+                kick = sigma.matrix @ xi
+            else:
+                kick = (sigma.base + sigma.slope * np.abs(x)) * xi
+            x = x + dt * (A_cl @ x) + amp * kick
+        out[i] = x
+    return out

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 import redunquant as rq
+from redunquant import stochastic_engine
 from redunquant.errors import (
     DivergenceError,
     DomainError,
@@ -21,6 +24,7 @@ from redunquant.stochastic_engine import (
 from .conftest import random_hurwitz
 from .oracles import (
     euler_endpoint_cov_reference,
+    euler_stepped_reference,
     lyapunov_reference,
     null_vector_inverse_iteration,
 )
@@ -118,6 +122,21 @@ class TestSimulate:
             rq.simulate_sde(system, rq.GainSet([[[0.0]]]), 0, 1.0, 30.0, 1e-2, 5, seed=2)
         assert 0 <= err.value.path_index < 5
 
+    def test_divergence_diag_affine_with_fill_in_flight(self):
+        # the first chunk's endpoint is far past the limit while the fill
+        # of the next chunk is running; the pool must not outlive the call
+        system = rq.MultiChannelSystem(
+            [[2.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
+        )
+        span = stochastic_engine._CHUNK_STEPS // 2
+        threads_before = threading.active_count()
+        with pytest.raises(DivergenceError) as err:
+            rq.simulate_sde(
+                system, rq.GainSet([[[0.0]]]), 0, 1.0, 3 * span * 1e-2, 1e-2, 70, seed=2
+            )
+        assert 0 <= err.value.path_index < 70
+        assert threading.active_count() == threads_before
+
     def test_x0_parameter(self, ou_system):
         system, gains = ou_system
         out = rq.simulate_sde(system, gains, 0, 0.0, 1.0, 1e-3, 3, seed=1, x0=[2.0])
@@ -152,6 +171,49 @@ class TestSimulate:
             rq.simulate_sde(system, gains, 0, 1.0, 0.005, 0.01, 10, seed=1)
         with pytest.raises(DomainError):
             rq.simulate_sde(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
+
+
+def _plane(sigma):
+    A = np.array([[-1.0, 0.4], [-0.3, -1.6]])
+    return rq.MultiChannelSystem(A, [np.zeros((2, 1))], sigma), rq.GainSet([np.zeros((1, 2))]), A
+
+
+_PLANE_NOISE = {
+    "constant": rq.ConstantDiffusion([[0.8, 0.2], [0.0, 0.6]]),
+    "diag_affine": rq.DiagAffineDiffusion([0.7, 0.9], [0.3, 0.5]),
+}
+
+
+class TestSimulateStepping:
+    """simulate_sde against a plain per-path, per-step loop, and its
+    independence of path blocks and fill threads."""
+
+    @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["one_block", "three_blocks"])
+    def test_matches_plain_loop(self, monkeypatch, kind, blocks):
+        system, gains, A = _plane(_PLANE_NOISE[kind])
+        span = stochastic_engine._CHUNK_STEPS // 2
+        n_steps, n_paths, dt = 2 * span + 7, 7, 1e-3  # last chunk partial
+        if blocks > 1:  # -> 3 paths per block
+            noise_per_path = stochastic_engine._CHUNK_STEPS * system.sigma.m
+            monkeypatch.setattr(stochastic_engine, "_MAX_NOISE_ELEMENTS", 3 * noise_per_path)
+        x0 = [0.5, -0.25]
+        out = rq.simulate_sde(system, gains, 0, 0.9, n_steps * dt, dt, n_paths, 13, x0=x0)
+        ref = euler_stepped_reference(system, A, 0.9, dt, n_steps, n_paths, 13, x0=x0)
+        assert np.abs(out.samples - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
+    def test_independent_of_fill_workers(self, monkeypatch, kind):
+        system, gains, _ = _plane(_PLANE_NOISE[kind])
+        span = stochastic_engine._CHUNK_STEPS // 2
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(stochastic_engine, "_FILL_WORKERS", workers)
+            runs.append(
+                rq.simulate_sde(system, gains, 0, 1.0, (2 * span + 5) * 1e-3, 1e-3, 11, 6).samples
+            )
+        for other in runs[1:]:
+            assert np.array_equal(other, runs[0])
 
 
 class TestEulerEndpoints:
