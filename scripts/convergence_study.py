@@ -2,12 +2,17 @@
 
 Three studies on the unit Ornstein-Uhlenbeck loop (exact stationary law
 N(0, 1/2)): second-order decay of the stationary-operator residual under
-grid refinement, L1 convergence of the grid solver, and Monte Carlo
-histogram error versus path count. A fourth compares the Monte Carlo
-redundancy of the scalar two-channel system (eps = 0.1) with its closed
-form over 8 seeds, in units of the reported batch-means standard error:
-at 2k paths expect a positive mean, since that SE covers sampling noise
-only and the histogram estimate is biased upward at small n.
+grid refinement, the grid solver's L1 error (at round-off: its fitted
+fluxes are exact for linear drift in 1-D), and Monte Carlo histogram
+error versus path count. Two grid studies on eccentric, rotated d=2 loops
+(A = R diag(-1, -k) R^T, eps = 0.1): the L1 error at 51^2, 101^2 and
+201^2 on one plant with diagonal S, and how many of 40 plants with a full
+S (central cross-diffusion terms) still fail at 101^2. A last one
+compares the Monte Carlo redundancy of the scalar two-channel system
+(eps = 0.1) with its closed form over 8 seeds, in units of the reported
+batch-means standard error: at 2k paths expect a positive mean, since
+that SE covers sampling noise only and the histogram estimate is biased
+upward at small n.
 
 Usage: python scripts/convergence_study.py [--out OUTDIR] [--quick]
 """
@@ -18,12 +23,30 @@ from pathlib import Path
 import numpy as np
 
 import redunquant as rq
+from redunquant.errors import NumericalError
 
 
 def discretized(g, box):
     return rq.GridDensity.from_unnormalized(
         box, g.pdf(box.center_points()).reshape(tuple(box.n))
     )
+
+
+def eccentric_plant(seed, diagonal):
+    """A = R diag(-1, -k) R^T with k ~ U(5, 40), R a random rotation, and S
+    (the diagonal of) chol(W W^T + 0.3 I), W ~ U(-1, 1); one zero-gain channel."""
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(5.0, 40.0)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    W = rng.uniform(-1.0, 1.0, (2, 2))
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    S = np.linalg.cholesky(W @ W.T + 0.3 * np.eye(2))
+    if diagonal:
+        S = np.diag(np.diag(S))
+    system = rq.MultiChannelSystem(
+        R @ np.diag([-1.0, -k]) @ R.T, [np.zeros((2, 1))], rq.ConstantDiffusion(S)
+    )
+    return system, rq.GainSet([np.zeros((1, 2))])
 
 
 def main():
@@ -55,6 +78,26 @@ def main():
         lines.append(f"{n},{l1:.6e}")
         print(f"  n={n:5d}  L1={l1:.3e}")
     (args.out / "grid_l1.csv").write_text("\n".join(lines) + "\n")
+
+    ecc_system, ecc_gains = eccentric_plant(1, diagonal=True)
+    ecc_law = rq.stationary_gaussian(ecc_system, ecc_gains, 0, 0.1)
+    lines = ["n_cells,l1_error"]
+    print("\ngrid solver L1 error on an eccentric d=2 plant, diagonal S (expect ~h^2):")
+    for n in (51, 101, 201):
+        solved = rq.solve_stationary_fp_grid(ecc_system, ecc_gains, 0, 0.1, n_cells=n)
+        box = solved.box
+        l1 = float(np.abs(solved.values - discretized(ecc_law, box).values).sum() * box.cell_volume)
+        lines.append(f"{n},{l1:.6e}")
+        print(f"  n={n:3d}^2  L1={l1:.3e}")
+    (args.out / "grid_l1_eccentric.csv").write_text("\n".join(lines) + "\n")
+
+    failed = []
+    for seed in range(40):
+        try:
+            rq.solve_stationary_fp_grid(*eccentric_plant(seed, diagonal=False), 0, 0.1)
+        except NumericalError:
+            failed.append(seed)
+    print(f"\nfull-S eccentric plants failing at 101^2: {len(failed)}/40 (seeds {failed})")
 
     sizes = (2_000, 8_000, 32_000) if args.quick else (5_000, 20_000, 80_000, 200_000)
     lines = ["n_paths,var_rel_error,hist_l1"]

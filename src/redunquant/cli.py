@@ -446,6 +446,7 @@ def run_command(
                 horizon=spec.horizon,
                 dt=spec.dt,
                 hist_cells=spec.hist_cells,
+                grid_box=spec.grid,
             )
             outputs = {
                 "method": method,

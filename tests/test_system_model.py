@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import redunquant as rq
@@ -134,11 +134,20 @@ class TestMatrixExponential:
             np.testing.assert_allclose(E, [[1.0, t], [0.0, 1.0]], rtol=1e-14)
 
     @given(seed=st.integers(0, 10_000), t=st.floats(0.01, 3.0, allow_nan=False))
+    @example(seed=3675, t=3.0)  # residual 2.4e-10 with ||F|| ||B|| = 3.3e6
+    @example(seed=2924, t=2.0)  # largest residual / (||F|| ||B|| u) seen, ~900
     def test_inverse_identity(self, seed, t):
+        # Rounding in F = exp(Mt), B = exp(-Mt) and their product scales with
+        # ||F|| ||B|| u, which a fixed atol ignores. Scaling and squaring is
+        # not backward stable for nonnormal M, so the constant is measured:
+        # over 310 031 draws of this strategy (seeds 0..10 000, 31 t each) the
+        # ratio peaked at 908, and c = 1e4 keeps a 10x margin above it.
         M = seeded(seed).uniform(-2.0, 2.0, (3, 3))
         forward = rq.matrix_exponential(M, t)
         backward = rq.matrix_exponential(M, -t)
-        np.testing.assert_allclose(forward @ backward, np.eye(3), atol=1e-10)
+        scale = np.linalg.norm(forward, 2) * np.linalg.norm(backward, 2)
+        tol = 1e4 * scale * np.finfo(float).eps
+        np.testing.assert_allclose(forward @ backward, np.eye(3), rtol=0.0, atol=tol)
 
     @given(seed=st.integers(0, 10_000), t=st.floats(0.01, 3.0, allow_nan=False))
     def test_determinant_is_exp_trace(self, seed, t):
