@@ -103,6 +103,24 @@ def _fail(field: str, message: str):
     raise ConfigValidationError(f"config field '{field}': {message}", field=field)
 
 
+def _number(value, field: str) -> float:
+    # bool is an int subclass, but JSON true/false are not numbers; the
+    # bound also rejects nan, +-inf and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        _fail(field, "expected a finite number")
+    return float(value)
+
+
+def _integer(value, field: str, lo: int, hi: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(field, "expected an integer")
+    if value < lo or (hi is not None and value > hi):
+        _fail(field, f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}")
+    return value
+
+
 def _matrix(value, field: str) -> np.ndarray:
     try:
         out = np.array(value, dtype=float)
@@ -147,7 +165,7 @@ def _parse_system(raw) -> MultiChannelSystem:
     if not isinstance(b_raw, list) or not b_raw:
         _fail("B", "expected a nonempty list of input matrices")
     B = [_matrix(Bi, f"B[{i}]") for i, Bi in enumerate(b_raw)]
-    if "N" in raw and int(raw["N"]) != len(B):
+    if "N" in raw and _integer(raw["N"], "N", 1) != len(B):
         _fail("B", f"B has {len(B)} entries but N = {raw['N']}")
     sigma = _parse_sigma(raw.get("sigma"), "sigma")
     try:
@@ -187,10 +205,8 @@ def _parse_epsilon(raw):
         return None
 
     def one(value, where):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(where, "expected a positive number")
-        value = float(value)
-        if not (np.isfinite(value) and value > 0.0):
+        value = _number(value, where)
+        if not value > 0.0:
             _fail(where, f"must be a positive real, got {value!r}")
         return value
 
@@ -256,23 +272,19 @@ def parse_config(path) -> ProblemSpec:
     gains, gains_source = _parse_gains(raw.get("gains"), system)
     epsilon = _parse_epsilon(raw.get("epsilon"))
 
-    seed = raw.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail("seed", "expected a nonnegative integer")
+    seed = _integer(raw.get("seed", 42), "seed", 0)
     method = raw.get("method", "closed_form")
     if method not in METHODS:
         _fail("method", f"must be one of {METHODS}")
-    mode = raw.get("mode", 0)
-    if not isinstance(mode, int) or isinstance(mode, bool) or not 0 <= mode <= system.n_channels:
-        _fail("mode", f"must be an integer in 0..{system.n_channels}")
+    mode = _integer(raw.get("mode", 0), "mode", 0, system.n_channels)
 
     t_list = raw.get("t_list")
     if t_list is not None:
         if not isinstance(t_list, list) or not t_list:
             _fail("t_list", "expected a nonempty list of times")
-        t_list = [float(v) for v in t_list]
-        if any(not np.isfinite(v) or v < 0.0 for v in t_list):
-            _fail("t_list", "entries must be finite and nonnegative")
+        t_list = [_number(v, "t_list") for v in t_list]
+        if any(v < 0.0 for v in t_list):
+            _fail("t_list", "entries must be nonnegative")
 
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):
@@ -280,18 +292,14 @@ def parse_config(path) -> ProblemSpec:
     unknown = set(sim) - {"horizon", "dt", "n_paths", "hist_cells"}
     if unknown:
         _fail(f"sim.{sorted(unknown)[0]}", "unknown simulation key")
-    n_paths = sim.get("n_paths", 100_000)
-    if not isinstance(n_paths, int) or n_paths < 1:
-        _fail("sim.n_paths", "expected a positive integer")
+    n_paths = _integer(sim.get("n_paths", 100_000), "sim.n_paths", 1)
     horizon = sim.get("horizon")
-    if horizon is not None and not (isinstance(horizon, (int, float)) and horizon > 0):
+    if horizon is not None and _number(horizon, "sim.horizon") <= 0:
         _fail("sim.horizon", "expected a positive number")
     dt = sim.get("dt")
-    if dt is not None and not (isinstance(dt, (int, float)) and dt > 0):
+    if dt is not None and _number(dt, "sim.dt") <= 0:
         _fail("sim.dt", "expected a positive number")
-    hist_cells = sim.get("hist_cells", 64)
-    if not isinstance(hist_cells, int) or hist_cells < 1:
-        _fail("sim.hist_cells", "expected a positive integer")
+    hist_cells = _integer(sim.get("hist_cells", 64), "sim.hist_cells", 1)
 
     synth_raw = raw.get("synthesis", {})
     if not isinstance(synth_raw, dict):
@@ -299,6 +307,8 @@ def parse_config(path) -> ProblemSpec:
     unknown = set(synth_raw) - {"theta_max", "margin_floor", "Q_weight", "R_weights"}
     if unknown:
         _fail(f"synthesis.{sorted(unknown)[0]}", "unknown synthesis key")
+    theta_max = _number(synth_raw.get("theta_max", 1024.0), "synthesis.theta_max")
+    margin_floor = _number(synth_raw.get("margin_floor", 1e-6), "synthesis.margin_floor")
     try:
         synthesis = SynthesisOptions(
             Q_weight=_matrix(synth_raw["Q_weight"], "synthesis.Q_weight")
@@ -310,8 +320,8 @@ def parse_config(path) -> ProblemSpec:
             )
             if "R_weights" in synth_raw
             else None,
-            theta_max=float(synth_raw.get("theta_max", 1024.0)),
-            margin_floor=float(synth_raw.get("margin_floor", 1e-6)),
+            theta_max=theta_max,
+            margin_floor=margin_floor,
         )
     except RedunquantError as exc:
         _fail("synthesis", str(exc))
@@ -378,7 +388,7 @@ def run_command(
         _fail("method", f"must be one of {METHODS}")
     if avg_normalization not in NORMALIZATIONS:
         _fail("avg_normalization", f"must be one of {NORMALIZATIONS}")
-    seed = spec.seed if seed is None else int(seed)
+    seed = spec.seed if seed is None else _integer(int(seed), "seed", 0)
     options = {
         "method": method,
         "seed": seed,
@@ -558,8 +568,16 @@ def run_command(
     return exit_code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid invocation), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="redunquant",
         description="Quantify systemic redundancy in reliable multi-channel linear systems.",
     )

@@ -4,6 +4,11 @@ Everything downstream (verification, transport, stationary laws) consumes
 the four operations here: closed-loop assembly, spectra, matrix
 exponentials and Lyapunov solves. Matrices are small dense float arrays;
 all values are immutable after construction.
+
+``scipy.linalg`` is imported inside ``matrix_exponential`` and
+``solve_lyapunov``, not at module top. Its import takes ~0.3 s, about
+half of a short CLI process, and the paths that need only spectra
+(verification, stepping and sampling the SDE) never pay it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 
@@ -229,6 +233,8 @@ def matrix_exponential(M: np.ndarray, t: float) -> np.ndarray:
         raise DimensionError(f"M must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)) or not np.isfinite(t):
         raise DomainError("matrix exponential inputs must be finite")
+    import scipy.linalg  # lazy; see the module docstring
+
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(M * float(t))
     if not np.all(np.isfinite(E)):
@@ -260,6 +266,8 @@ def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     alpha = spectral_abscissa(A_cl)
     if alpha >= 0.0:
         raise NotHurwitzError(f"A_cl has spectral abscissa {alpha!r} >= 0")
+
+    import scipy.linalg  # lazy; see the module docstring
 
     try:
         P = scipy.linalg.solve_continuous_lyapunov(A_cl, -Q)

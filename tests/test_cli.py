@@ -2,14 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from redunquant import reporting
-from redunquant.cli import parse_config, run_command
+from redunquant.cli import main, parse_config, run_command
 from redunquant.errors import ConfigSyntaxError, ConfigValidationError
+
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scalar_two_channel.json"
 
 SCALAR_CONFIG = {
     "system": {
@@ -65,6 +68,30 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(write_config(tmp_path, payload))
         assert err.value.field == "gains"
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("t_list",), ["x"], "t_list"),
+            (("t_list",), [True], "t_list"),
+            (("system", "N"), "two", "N"),
+            (("synthesis", "theta_max"), "big", "synthesis.theta_max"),
+            (("synthesis", "margin_floor"), [1], "synthesis.margin_floor"),
+            (("sim", "n_paths"), True, "sim.n_paths"),
+            (("sim", "hist_cells"), False, "sim.hist_cells"),
+            (("sim", "horizon"), True, "sim.horizon"),
+            (("epsilon",), 10**400, "epsilon"),
+        ],
+    )
+    def test_malformed_number_rejected(self, tmp_path, path, value, field):
+        payload = json.loads(json.dumps(SCALAR_CONFIG))
+        target = payload
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(write_config(tmp_path, payload))
+        assert err.value.field == field
 
     def test_unknown_key_rejected(self, tmp_path):
         payload = dict(SCALAR_CONFIG, epsilonn=0.1)
@@ -321,3 +348,63 @@ class TestMainEntryPoint:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         report = reporting.parse_report(outs[0] / "report.json")
         assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "exact_endpoint"
+
+    def test_numpy_only_commands_do_not_import_scipy(self, tmp_path):
+        # one fresh interpreter: importing scipy.linalg costs about half of a
+        # short CLI process, so only commands that call a scipy kernel load it
+        payload = dict(json.loads(BUNDLED_CONFIG.read_text()), sim={"n_paths": 2000})
+        config = write_config(tmp_path, payload)
+        script = textwrap.dedent(
+            f"""
+            import sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            from redunquant import cli
+
+            assert not scipy_modules(), scipy_modules()
+            common = ["--config", {str(config)!r}, "--out", {str(tmp_path / "o")!r}]
+            for argv in (["verify"], ["simulate"], ["redundancy", "--method", "monte_carlo"]):
+                assert cli.main(argv + common) == 0, argv
+                assert not scipy_modules(), (argv, scipy_modules())
+            assert cli.main(["redundancy"] + common) == 0
+            assert "scipy.linalg" in sys.modules
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+
+class TestExitCodes:
+    """Exit 1 means an invalid configuration or invocation, whatever caught it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--out", "unused"],
+            ["nope", "--config", str(BUNDLED_CONFIG), "--out", "unused"],
+            ["redundancy", "--config", str(BUNDLED_CONFIG), "--out", "unused", "--method", "nope"],
+        ],
+    )
+    def test_usage_error_exit1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_option_exit1(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--config", str(BUNDLED_CONFIG), "--out", str(tmp_path), "--seed", "-1"]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_help_exit0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--help"])
+        assert exit_.value.code == 0
+        assert "--config" in capsys.readouterr().out
