@@ -103,6 +103,10 @@ def _fail(field: str, message: str):
     raise ConfigValidationError(f"config field '{field}': {message}", field=field)
 
 
+def _fail_option(option: str, message: str):
+    raise ConfigValidationError(f"option '--{option}': {message}", field=f"--{option}")
+
+
 def _number(value, field: str) -> float:
     # bool is an int subclass, but JSON true/false are not numbers; the
     # bound also rejects nan, +-inf and integers too large for a float
@@ -239,9 +243,12 @@ def _parse_grid(raw, d: int) -> Box | None:
     lo = _vector(raw.get("lo"), "grid.lo")
     hi = _vector(raw.get("hi"), "grid.hi")
     n = raw.get("n_cells")
+    if not isinstance(n, list):
+        _fail("grid.n_cells", "expected a list of cell counts")
+    n = [_integer(v, "grid.n_cells", 3) for v in n]
     try:
-        box = Box(lo, hi, np.array(n, dtype=int))
-    except (RedunquantError, TypeError, ValueError) as exc:
+        box = Box(lo, hi, n)
+    except RedunquantError as exc:
         _fail("grid", str(exc))
     if box.dim != d:
         _fail("grid", f"dimension {box.dim} does not match state dimension {d}")
@@ -299,6 +306,8 @@ def parse_config(path) -> ProblemSpec:
     dt = sim.get("dt")
     if dt is not None and _number(dt, "sim.dt") <= 0:
         _fail("sim.dt", "expected a positive number")
+    if horizon is not None and dt is not None and horizon < dt:
+        _fail("sim.horizon", "must be at least one step (sim.dt)")
     hist_cells = _integer(sim.get("hist_cells", 64), "sim.hist_cells", 1)
 
     synth_raw = raw.get("synthesis", {})
@@ -377,18 +386,14 @@ def run_command(
 ) -> int:
     """Execute one command and write its report files; returns the exit code."""
     started = time.perf_counter()
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-
     method = method or spec.method
     if method not in METHODS:
-        _fail("method", f"must be one of {METHODS}")
+        _fail_option("method", f"must be one of {METHODS}")
     if avg_normalization not in NORMALIZATIONS:
-        _fail("avg_normalization", f"must be one of {NORMALIZATIONS}")
-    seed = spec.seed if seed is None else _integer(int(seed), "seed", 0)
+        _fail_option("avg-normalization", f"must be one of {NORMALIZATIONS}")
+    seed = spec.seed if seed is None else int(seed)
+    if seed < 0:
+        _fail_option("seed", f"must be >= 0, got {seed}")
     options = {
         "method": method,
         "seed": seed,
@@ -555,6 +560,11 @@ def run_command(
         return 3
 
     report = reporting.build_report(cmd, options, reporting.inputs_digest(spec.raw), outputs)
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
     reporting.emit_report(report, "structured", out_dir / "report.json")
     if csv_text is not None:
         reporting.write_text_atomic(out_dir / "sweep.csv", csv_text)

@@ -208,16 +208,16 @@ def simulate_sde(
 
     Path i draws its noise from its own stream keyed by (seed, i), so the
     result does not depend on batching, execution order or thread count.
-    Paths run in blocks whose noise buffers hold at most
-    ``_MAX_NOISE_ELEMENTS`` doubles, ``_CHUNK_STEPS`` steps per path. For
-    diag_affine sigma these are two buffers of ``_CHUNK_STEPS // 2`` steps
-    (one when the run fits in it): while the main thread steps one, the
-    fill pool draws the next chunk of every stream into the other. Each
-    step ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
+    Paths run in blocks with one noise buffer each, of at most
+    ``_MAX_NOISE_ELEMENTS`` doubles: a chunk of ``_CHUNK_STEPS // m``
+    steps, i.e. ``_CHUNK_STEPS`` normals per path. The fill pool draws the
+    chunk of every stream into it, then the calling thread steps it; the
+    two are not overlapped, because the step's small ufuncs and the fill
+    threads contend for the GIL. For diag_affine sigma each step
+    ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
     ``amp = eps sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
     For constant sigma the linear recursion over a chunk is a single
-    matrix product of the chunk's noise with precomputed step weights, and
-    one full-size buffer is filled and stepped in turn.
+    matrix product of the chunk's noise with precomputed step weights.
     Any state with |x| > 1e12 (or a non-finite value) at the end of a
     chunk aborts with DivergenceError carrying the offending path index.
     """
@@ -261,60 +261,41 @@ def simulate_sde(
                 x, y = y, x
             return x.T
 
-    # diag_affine steps about as long as its noise takes to fill, so it
-    # double-buffers. Constant sigma steps a chunk with one BLAS call ~30x
-    # cheaper than the fill: overlapping the two saves little, and a
-    # multithreaded BLAS would contend with the fill threads for the CPUs.
-    n_bufs = 1 if constant or n_steps <= _CHUNK_STEPS // 2 else 2
-    span = min(_CHUNK_STEPS // n_bufs, n_steps)
-    spans = [min(span, n_steps - s) for s in range(0, n_steps, span)]
-    block_paths = max(1, _MAX_NOISE_ELEMENTS // (_CHUNK_STEPS * m))
-    pool = ThreadPoolExecutor(_FILL_WORKERS)
-
-    def fill(gens, chunks, c):
-        """Submit the fill of chunk c (path i from gens[i]) over the pool."""
-        if c == len(chunks):
-            return []
-        noise = chunks[c]
-
-        def worker(lo, hi):
-            for i in range(lo, hi):
-                gens[i].standard_normal(out=noise[i])
-
-        edges = np.linspace(0, len(gens), _FILL_WORKERS + 1, dtype=int)
-        return [pool.submit(worker, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
+    # One noise buffer per path block: the pool fills it, then this thread
+    # steps it. Filling the next chunk while stepping this one would take a
+    # second buffer and saves little time: each small ufunc of the
+    # diag_affine step releases the GIL, a fill thread takes it between
+    # paths, and a d=2 chunk that steps in ~45 ms alone takes 50-136 ms
+    # beside one or two fill threads. Every chunk holds _CHUNK_STEPS
+    # normals per path, whatever m.
+    span = min(_CHUNK_STEPS // m, n_steps)
+    block_paths = max(1, _MAX_NOISE_ELEMENTS // (span * m))
     samples = np.empty((n_paths, d))
-    try:
+    with ThreadPoolExecutor(_FILL_WORKERS) as pool:
         for start in range(0, n_paths, block_paths):
             stop = min(start + block_paths, n_paths)
-            nb = stop - start
             gens = [_path_generator(seed, i) for i in range(start, stop)]
-            bufs = [np.empty((nb, span, m)) for _ in range(n_bufs)]
-            chunks = [bufs[c % n_bufs][:, :s] for c, s in enumerate(spans)]
-            x = np.tile(x0, (nb, 1))
-            futures = fill(gens, chunks, 0)
-            done = 0
-            for c, noise in enumerate(chunks):
-                for future in futures:
-                    future.result()
-                if n_bufs == 2:  # the other buffer is free: fill it meanwhile
-                    futures = fill(gens, chunks, c + 1)
+            edges = np.linspace(0, len(gens), _FILL_WORKERS + 1, dtype=int)
+            buf = np.empty((len(gens), span, m))
+            x = np.tile(x0, (len(gens), 1))
+            for first in range(0, n_steps, span):
+                noise = buf[:, : min(span, n_steps - first)]
+
+                def fill(lo, hi):
+                    for i in range(lo, hi):
+                        gens[i].standard_normal(out=noise[i])
+
+                list(pool.map(fill, edges[:-1], edges[1:]))
                 x = advance(x, noise)
-                if n_bufs == 1:  # refill the one buffer once it is stepped
-                    futures = fill(gens, chunks, c + 1)
-                done += noise.shape[1]
                 bad = _diverged(x)
                 if np.any(bad):
                     idx = start + int(np.argmax(bad))
                     raise DivergenceError(
-                        f"trajectory {idx} diverged by step {done} "
+                        f"trajectory {idx} diverged by step {first + noise.shape[1]} "
                         "(non-Hurwitz mode or dt too large?)",
                         path_index=idx,
                     )
             samples[start:stop] = x
-    finally:
-        pool.shutdown(cancel_futures=True)
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 
@@ -496,6 +477,8 @@ def fp_residual(
         raise DimensionError(f"box dimension {d} does not match state dimension {sys.d}")
     if d > 2:
         raise DimensionError("fp_residual supports d <= 2")
+    if np.any(box.n < 3):
+        raise DomainError("fp_residual needs at least 3 cells per axis")
     half_eps2 = 0.5 * float(eps) ** 2
     A_j = closed_loop_matrix(sys, gains, mode)
     h = box.cell_widths

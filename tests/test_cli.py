@@ -93,6 +93,23 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, payload))
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [True]}, "grid.n_cells"),
+            ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [10.5]}, "grid.n_cells"),
+            ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [1]}, "grid.n_cells"),
+            ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": 10}, "grid.n_cells"),
+            ("sim", {"horizon": 0.001, "dt": 0.01}, "sim.horizon"),
+        ],
+        ids=["n_cells_bool", "n_cells_fraction", "n_cells_one", "n_cells_scalar", "horizon_below_dt"],
+    )
+    def test_rejected_at_parse_time(self, tmp_path, key, value, field):
+        # each of these used to pass parse_config and fail later, or not at all
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(write_config(tmp_path, dict(SCALAR_CONFIG, **{key: value})))
+        assert err.value.field == field
+
     def test_unknown_key_rejected(self, tmp_path):
         payload = dict(SCALAR_CONFIG, epsilonn=0.1)
         with pytest.raises(ConfigValidationError):
@@ -396,12 +413,32 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_negative_seed_option_exit1(self, tmp_path, capsys):
+        out = tmp_path / "new"
         code = main(
-            ["simulate", "--config", str(BUNDLED_CONFIG), "--out", str(tmp_path), "--seed", "-1"]
+            ["simulate", "--config", str(BUNDLED_CONFIG), "--out", str(out), "--seed", "-1"]
         )
         assert code == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        err = capsys.readouterr().err
+        assert "error: option '--seed'" in err
+        assert "config field" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cmd, options",
+        [
+            ("simulate", {"seed": -1}),
+            ("redundancy", {"method": "nope"}),
+            ("redundancy", {"avg_normalization": "nope"}),
+            ("verify", {}),  # the config has no gains
+        ],
+        ids=["seed", "method", "avg_normalization", "verify_without_gains"],
+    )
+    def test_rejected_invocation_creates_no_out_dir(self, tmp_path, cmd, options):
+        config = write_config(tmp_path, {k: v for k, v in SCALAR_CONFIG.items() if k != "gains"})
+        out = tmp_path / "new"
+        with pytest.raises(ConfigValidationError):
+            run_command(cmd, parse_config(config), out, **options)
+        assert not out.exists()
 
     def test_help_exit0(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ from .oracles import (
     lyapunov_reference,
     null_vector_inverse_iteration,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads():
+    """Every exit path of simulate_sde must shut its fill pool down."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def _discretized(g: rq.GaussianDensity, box: rq.Box) -> rq.GridDensity:
@@ -139,8 +148,8 @@ class TestSimulate:
         assert 0 <= err.value.path_index < 5
 
     def test_divergence_diag_affine_with_fill_in_flight(self):
-        # the first chunk's endpoint is far past the limit while the fill
-        # of the next chunk is running; the pool must not outlive the call
+        # the first chunk's endpoint is far past the limit with chunks
+        # still to fill; the pool must not outlive the call
         system = rq.MultiChannelSystem(
             [[2.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
         )
@@ -211,7 +220,8 @@ class TestSimulateStepping:
         span = stochastic_engine._CHUNK_STEPS // 2
         n_steps, n_paths, dt = 2 * span + 7, 7, 1e-3  # last chunk partial
         if blocks > 1:  # -> 3 paths per block
-            noise_per_path = stochastic_engine._CHUNK_STEPS * system.sigma.m
+            m = system.sigma.m
+            noise_per_path = (stochastic_engine._CHUNK_STEPS // m) * m
             monkeypatch.setattr(stochastic_engine, "_MAX_NOISE_ELEMENTS", 3 * noise_per_path)
         x0 = [0.5, -0.25]
         out = rq.simulate_sde(system, gains, 0, 0.9, n_steps * dt, dt, n_paths, 13, x0=x0)
@@ -230,6 +240,19 @@ class TestSimulateStepping:
             )
         for other in runs[1:]:
             assert np.array_equal(other, runs[0])
+
+    def test_noise_memory_is_one_chunk_per_path(self):
+        # one noise buffer of _CHUNK_STEPS normals per path, over a run of
+        # several chunks; the state and step buffers are O(d) per path
+        system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
+        n_paths = 200
+        tracemalloc.start()
+        try:
+            rq.simulate_sde(system, gains, 0, 1.0, 5000 * 1e-3, 1e-3, n_paths, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * stochastic_engine._CHUNK_STEPS * n_paths + 1e6
 
 
 class TestEulerEndpoints:
@@ -376,6 +399,13 @@ class TestFpResidual:
             rq.GaussianDensity([0.0], [[1.0]]), system, gains, 0, 1.0, box
         )
         assert bad >= 10.0 * good
+
+    def test_needs_three_cells_per_axis(self, ou_system):
+        # the central stencil has no interior cell to evaluate otherwise
+        system, gains = ou_system
+        law = rq.GaussianDensity([0.0], [[0.5]])
+        with pytest.raises(DomainError):
+            rq.fp_residual(law, system, gains, 0, 1.0, rq.Box([-3.0], [3.0], [2]))
 
     def test_2d_exact_density(self):
         from .conftest import random_hurwitz
