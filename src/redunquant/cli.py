@@ -374,6 +374,31 @@ def _resolve_gains(spec: ProblemSpec) -> tuple[GainSet, str]:
     return gains, "synthesized"
 
 
+def _sim_params(spec: ProblemSpec, gains: GainSet, mode: int) -> tuple[float, float]:
+    """(horizon, dt) of one simulated mode: the configured values, else the
+    mode's defaults. A configured value that leaves no whole step against
+    the other's default is an error of that configuration field."""
+    horizon, dt = spec.horizon, spec.dt
+    if horizon is None or dt is None:
+        default_h, default_dt = default_sim_params(spec.system, gains, mode)
+        horizon = default_h if horizon is None else horizon
+        dt = default_dt if dt is None else dt
+        if horizon < dt:
+            _fail(
+                "sim.horizon" if spec.horizon is not None else "sim.dt",
+                f"horizon {horizon!r} is shorter than one step (dt {dt!r} in mode {mode})",
+            )
+    return horizon, dt
+
+
+def _check_monte_carlo_steps(spec: ProblemSpec, gains: GainSet, method: str) -> None:
+    """Check ``_sim_params`` of every mode that the Monte Carlo route
+    simulates. Unreliable gains are left for the route to report."""
+    if method == "monte_carlo" and verify_reliable(spec.system, gains).reliable:
+        for j in range(spec.system.n_channels + 1):
+            _sim_params(spec, gains, j)
+
+
 def run_command(
     cmd: str,
     spec: ProblemSpec,
@@ -430,6 +455,7 @@ def run_command(
         elif cmd == "redundancy":
             eps = _require_scalar_epsilon(spec)
             gains, source = _resolve_gains(spec)
+            _check_monte_carlo_steps(spec, gains, method)
             result = systemic_redundancy(
                 sys_,
                 gains,
@@ -450,6 +476,7 @@ def run_command(
             }
         elif cmd == "sweep-eps":
             gains, source = _resolve_gains(spec)
+            _check_monte_carlo_steps(spec, gains, method)
             table = epsilon_sweep(
                 sys_,
                 gains,
@@ -494,11 +521,7 @@ def run_command(
         elif cmd == "simulate":
             eps = _require_scalar_epsilon(spec)
             gains, source = _resolve_gains(spec)
-            horizon, dt = spec.horizon, spec.dt
-            if horizon is None or dt is None:
-                default_h, default_dt = default_sim_params(sys_, gains, spec.mode)
-                horizon = horizon if horizon is not None else default_h
-                dt = dt if dt is not None else default_dt
+            horizon, dt = _sim_params(spec, gains, spec.mode)
             samples = simulate_sde(
                 sys_, gains, spec.mode, eps, horizon, dt, spec.n_paths, seed
             )

@@ -5,11 +5,13 @@ configuration and under every single-channel outage. ``verify_reliable``
 is the ground-truth decision procedure (strict inequality, no slack);
 ``synthesize_gains`` is a heuristic that scales up a Riccati design until
 verification passes. Synthesis failure carries the best report found but
-is not a certificate that no reliable gain set exists. Each Riccati design
-is one direct Schur solve (``solve_care_newton``, a name kept from the
-Newton-Kleinman iteration it replaced). Verification needs only numpy;
-``scipy.linalg`` is imported inside the two synthesis functions that
-call it, so that ``verify`` does not pay its ~0.3 s import.
+is not a certificate that no reliable gain set exists, except when the
+plant is not stabilizable at all, which is tested before the ladder. Each
+Riccati design is one ordered real Schur decomposition of the Hamiltonian
+(``solve_care_newton``, a name kept from the Newton-Kleinman iteration it
+replaced). Verification needs only numpy; ``scipy.linalg`` is imported
+inside the two synthesis functions that call it, so that ``verify`` does
+not pay its ~0.3 s import.
 """
 
 from __future__ import annotations
@@ -87,20 +89,31 @@ def solve_care_newton(
 ) -> np.ndarray:
     """Stabilizing solution of A^T P + P A - P B R^{-1} B^T P + Q = 0.
 
-    Solved by the Schur method (scipy.linalg.solve_continuous_are: the
-    stable deflating subspace of the extended Hamiltonian pencil; Laub,
-    IEEE TAC 24:913-921, 1979), which needs no stabilizing initial gain.
-    The result is accepted when the Riccati residual is at most ``tol``
-    times a backward-error scale. The name predates the Schur method and
+    Solved by the Schur method (Laub, IEEE TAC 24:913-921, 1979): the real
+    Schur form of the Hamiltonian H = [[A, -G], [-Q, -A^T]], G = B R^{-1} B^T,
+    ordered with its stable eigenvalues first, spans the stable invariant
+    subspace [U11; U21], and P = U21 U11^{-1}. No stabilizing initial gain
+    is needed. The result is accepted when exactly d eigenvalues of H are
+    stable, the Riccati residual is at most ``tol`` times a backward-error
+    scale, and A - G P is Hurwitz. The name predates the Schur method and
     is kept because callers and timing tools look the function up by it.
     """
     import scipy.linalg  # lazy; see the module docstring
 
+    d = A.shape[0]
+    G = B @ np.linalg.solve(R, B.T)
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        _, U, n_stable = scipy.linalg.schur(np.block([[A, -G], [-Q, -A.T]]), sort="lhp")
+        if n_stable != d:
+            raise NumericalError(
+                f"Riccati solve failed: the Hamiltonian has {n_stable} stable "
+                f"eigenvalues, not {d}"
+            )
+        # P = U21 U11^{-1}, so P^T solves U11^T P^T = U21^T
+        P = np.linalg.solve(U[:d, :d].T, U[d:, :d].T)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Riccati solve failed: {exc}") from exc
-    G = B @ np.linalg.solve(R, B.T)
+    P = 0.5 * (P + P.T)
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, "fro"))
     norm_p = float(np.linalg.norm(P, "fro"))
     scale = (
@@ -109,11 +122,38 @@ def solve_care_newton(
         + 2.0 * float(np.linalg.norm(A, "fro")) * norm_p
         + float(np.linalg.norm(G, "fro")) * norm_p**2
     )
-    if residual > tol * scale:
+    if not (np.isfinite(scale) and residual <= tol * scale):  # rejects a non-finite P
         raise NumericalError(
             f"Riccati residual {residual!r} exceeds tolerance {tol * scale!r}"
         )
+    alpha = spectral_abscissa(A - G @ P)
+    if alpha >= 0.0:
+        raise NumericalError(
+            f"Riccati solution is not stabilizing: A - G P has abscissa {alpha!r}"
+        )
     return P
+
+
+#: Relative tolerance of the stabilizability (PBH) rank test: about the
+#: eigenvalue error of a double eigenvalue, sqrt(machine epsilon).
+_PBH_RTOL = 1.5e-8
+
+
+def _unstabilizable_eigenvalue(A: np.ndarray, B: np.ndarray) -> float | complex | None:
+    """An eigenvalue of A with Re >= 0 that no state feedback moves, or None.
+
+    PBH test: (A, B) is stabilizable iff [A - lambda I, B] has full row rank
+    for every eigenvalue lambda with Re lambda >= 0. Rank and sign are
+    decided to a tolerance relative to ||[A B]||.
+    """
+    tol = _PBH_RTOL * float(np.linalg.norm(np.hstack([A, B]), 2))
+    identity = np.eye(A.shape[0])
+    for lam in np.linalg.eigvals(A):
+        if lam.real >= -tol:
+            pencil = np.hstack([A - lam * identity, B])
+            if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol:
+                return lam.item()
+    return None
 
 
 def synthesize_gains(
@@ -125,7 +165,9 @@ def synthesize_gains(
     equation with R/theta is solved and the per-channel gains
     K_i = -theta R_i^{-1} B_i^T P are checked by verify_reliable; the
     smallest passing theta wins. Higher theta means more aggressive
-    feedback, which tolerates channel outages more often.
+    feedback, which tolerates channel outages more often. A plant that is
+    not stabilizable through all channels together fails before the
+    ladder, with the zero-gain report as its best report.
     """
     import scipy.linalg  # lazy; see the module docstring
 
@@ -149,6 +191,15 @@ def synthesize_gains(
     B_full = np.hstack(sys.B)
     R_full = scipy.linalg.block_diag(*R_blocks)
     splits = np.cumsum(sys.input_dims)[:-1]
+    lam = _unstabilizable_eigenvalue(sys.A, B_full)
+    if lam is not None:
+        zero = GainSet([np.zeros((r, d)) for r in sys.input_dims])
+        raise SynthesisFailedError(
+            f"(A, [B_1 ... B_N]) is not stabilizable: no channel reaches the "
+            f"eigenvalue {lam:.6g} of A, so no feedback gain stabilizes even the "
+            "nominal loop",
+            best_report=verify_reliable(sys, zero),
+        )
 
     best_report: ReliabilityReport | None = None
     theta = 1.0

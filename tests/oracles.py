@@ -5,15 +5,17 @@ entropies and divergences come from adaptive quadrature of the defining
 integrals, reliability from characteristic-polynomial root finding,
 Lyapunov solutions from the dense Kronecker-vectorized system (the library
 uses Bartels-Stewart), stabilizing Riccati solutions from the
-Newton-Kleinman iteration (the library uses the Schur method), null
-vectors of the finite-volume stationary operator from shifted inverse
-iteration (the library uses one pinned direct solve), and the Euler
+Newton-Kleinman iteration and from scipy's extended-pencil QZ solver (the
+library uses the Schur form of the Hamiltonian), null vectors of the
+finite-volume stationary operator from shifted inverse iteration (the
+library uses one pinned direct solve), and the Euler
 endpoint covariance from a plain term-by-term sum (the library uses
 binary doubling), and stepped Euler endpoints from a per-path, per-step
 loop (the library steps blocks of paths over chunks of pre-drawn noise).
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import quad
@@ -117,6 +119,13 @@ def care_newton_kleinman(A, B, R, Q):
         if residual <= 1e-9 * scale:
             return P
     raise AssertionError(f"Newton-Kleinman did not converge (residual {residual!r})")
+
+
+def care_extended_pencil(A, B, R, Q):
+    """Stabilizing Riccati solution from scipy.linalg.solve_continuous_are:
+    balancing and QZ of the order-(2d+m) extended Hamiltonian pencil. It
+    needs no stabilizing start, unlike ``care_newton_kleinman``."""
+    return scipy.linalg.solve_continuous_are(A, B, Q, R)
 
 
 def null_vector_inverse_iteration(L, start):

@@ -174,6 +174,13 @@ class TestRunCommand:
         spec = parse_config(write_config(tmp_path, payload))
         assert run_command("synth", spec, tmp_path / "out") == 2
 
+    def test_unstabilizable_synth_exit2(self, tmp_path, capsys):
+        payload = json.loads(BUNDLED_CONFIG.read_text())
+        payload["system"]["B"] = [[[0.0]], [[0.0]]]
+        spec = parse_config(write_config(tmp_path, payload))
+        assert run_command("synth", spec, tmp_path / "out") == 2
+        assert "not stabilizable" in capsys.readouterr().err
+
     def test_numerical_failure_exit3(self, tmp_path):
         # grid solve on a non-Hurwitz mode
         payload = {
@@ -438,6 +445,25 @@ class TestExitCodes:
         out = tmp_path / "new"
         with pytest.raises(ConfigValidationError):
             run_command(cmd, parse_config(config), out, **options)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, sim, field",
+        [
+            (["simulate"], {"horizon": 1e-5}, "sim.horizon"),
+            (["redundancy", "--method", "monte_carlo"], {"horizon": 1e-5}, "sim.horizon"),
+            (["sweep-eps", "--method", "monte_carlo"], {"horizon": 1e-5}, "sim.horizon"),
+            (["simulate"], {"dt": 100.0}, "sim.dt"),
+        ],
+        ids=["simulate", "redundancy", "sweep-eps", "simulate-dt"],
+    )
+    def test_less_than_one_default_step_exit1(self, tmp_path, argv, sim, field, capsys):
+        # the other of sim.horizon and sim.dt takes its per-mode default
+        payload = dict(json.loads(BUNDLED_CONFIG.read_text()), sim=sim)
+        out = tmp_path / "new"
+        code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exit0(self, capsys):

@@ -4,11 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redunquant as rq
-from redunquant.errors import DomainError, SynthesisFailedError
+from redunquant.errors import DomainError, NumericalError, SynthesisFailedError
 from redunquant.reliable_gains import solve_care_newton
 
 from .conftest import random_gains, random_system
-from .oracles import brute_force_reliable, care_newton_kleinman
+from .oracles import brute_force_reliable, care_extended_pencil, care_newton_kleinman
+
+
+def _riccati_cases():
+    """(A, B, R, Q, reference solver) of the Riccati accuracy test."""
+    rng = np.random.default_rng(5)
+    for k in range(10):
+        d = int(rng.integers(2, 5))
+        A = rng.uniform(-1.0, 1.0, (d, d))
+        B = rng.uniform(-1.0, 1.0, (d, 2))
+        yield pytest.param(A, B, np.eye(2), np.eye(d), care_newton_kleinman, id=f"random{k}")
+    # the closed_form benchmark's synthesis plants at both ends of the theta
+    # ladder; the Newton-Kleinman start does not stabilize the d=32 plant
+    for d in (4, 8, 16, 32):
+        rng = np.random.default_rng([0, d])
+        A = rng.uniform(-2.0, 2.0, (d, d))
+        B = np.hstack([rng.uniform(-2.0, 2.0, (d, 1)) for _ in range(4)])
+        for theta in (1.0, 1024.0):
+            yield pytest.param(
+                A, B, np.eye(4) / theta, np.eye(d), care_extended_pencil,
+                id=f"synth-d{d}-theta{theta:g}",
+            )
 
 
 class TestVerify:
@@ -81,15 +102,26 @@ class TestRiccati:
                 expected, rel=1e-7
             )
 
-    def test_matches_newton_kleinman_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            d = int(rng.integers(2, 5))
-            A = rng.uniform(-1.0, 1.0, (d, d))
-            B = rng.uniform(-1.0, 1.0, (d, 2))
-            P = solve_care_newton(A, B, np.eye(2), np.eye(d))
-            ref = care_newton_kleinman(A, B, np.eye(2), np.eye(d))
-            np.testing.assert_allclose(P, ref, rtol=1e-7, atol=1e-9)
+    @pytest.mark.parametrize("A, B, R, Q, reference", _riccati_cases())
+    def test_matches_newton_kleinman_oracle(self, A, B, R, Q, reference):
+        P = solve_care_newton(A, B, R, Q)
+        np.testing.assert_allclose(P, reference(A, B, R, Q), rtol=1e-7, atol=1e-9)
+        G = B @ np.linalg.solve(R, B.T)
+        assert np.linalg.eigvals(A - G @ P).real.max() < 0.0
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            # Hamiltonian eigenvalues +-i: no stable subspace of dimension d
+            pytest.param([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], id="imaginary-axis"),
+            pytest.param([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], id="uncontrollable"),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [1e-9, np.inf], ids=["residual", "no-residual"])
+    def test_no_stabilizing_solution_raises(self, A, B, tol):
+        # with the residual bound off, the Schur split checks alone must fail
+        with pytest.raises(NumericalError):
+            solve_care_newton(np.array(A), np.array(B), np.eye(1), np.eye(2), tol=tol)
 
 
 class TestSynthesis:
@@ -109,6 +141,34 @@ class TestSynthesis:
             rq.synthesize_gains(system)
         assert err.value.best_report is not None
         assert "not a certificate" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            ([[1.0]], [[[0.0]], [[0.0]]]),
+            ([[1.0, 0.0], [0.0, -1.0]], [[[0.0], [1.0]], [[0.0], [2.0]]]),
+        ],
+        ids=["no-authority", "uncontrollable-unstable-mode"],
+    )
+    def test_unstabilizable_plant_fails_before_ladder(self, A, B, monkeypatch):
+        system = rq.MultiChannelSystem(A, B, rq.ConstantDiffusion(np.eye(len(A))))
+        monkeypatch.setattr(
+            rq.reliable_gains, "solve_care_newton", lambda *a, **k: pytest.fail("ladder ran")
+        )
+        with pytest.raises(SynthesisFailedError, match="not stabilizable") as err:
+            rq.synthesize_gains(system)
+        zero = rq.GainSet([np.zeros((1, len(A))) for _ in B])
+        report = err.value.best_report
+        np.testing.assert_array_equal(report.abscissae, rq.verify_reliable(system, zero).abscissae)
+        assert report.abscissae[0] == pytest.approx(1.0)
+
+    def test_uncontrollable_stable_mode_is_stabilizable(self):
+        system = rq.MultiChannelSystem(
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[[0.0], [1.0]], [[0.0], [1.0]]],
+            rq.ConstantDiffusion(np.eye(2)),
+        )
+        assert rq.verify_reliable(system, rq.synthesize_gains(system)).reliable
 
     def test_open_loop_stable(self):
         rng = np.random.default_rng(3)
