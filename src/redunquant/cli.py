@@ -33,6 +33,7 @@ from .errors import (
     ConfigSyntaxError,
     ConfigValidationError,
     IoError,
+    NotHurwitzError,
     NotReliableError,
     RedunquantError,
     SynthesisFailedError,
@@ -376,18 +377,18 @@ def _resolve_gains(spec: ProblemSpec) -> tuple[GainSet, str]:
 
 def _sim_params(spec: ProblemSpec, gains: GainSet, mode: int) -> tuple[float, float]:
     """(horizon, dt) of one simulated mode: the configured values, else the
-    mode's defaults. A configured value that leaves no whole step against
-    the other's default is an error of that configuration field."""
-    horizon, dt = spec.horizon, spec.dt
-    if horizon is None or dt is None:
-        default_h, default_dt = default_sim_params(spec.system, gains, mode)
-        horizon = default_h if horizon is None else horizon
-        dt = default_dt if dt is None else dt
-        if horizon < dt:
-            _fail(
-                "sim.horizon" if spec.horizon is not None else "sim.dt",
-                f"horizon {horizon!r} is shorter than one step (dt {dt!r} in mode {mode})",
-            )
+    mode's defaults. A horizon left to default on a non-Hurwitz mode, or a
+    configured value that leaves no whole step against the other's
+    default, is an error of that configuration field."""
+    try:
+        horizon, dt = default_sim_params(spec.system, gains, mode, spec.horizon, spec.dt)
+    except NotHurwitzError as exc:
+        _fail("sim.horizon", f"has no default: {exc}")
+    if horizon < dt:
+        _fail(
+            "sim.horizon" if spec.horizon is not None else "sim.dt",
+            f"horizon {horizon!r} is shorter than one step (dt {dt!r} in mode {mode})",
+        )
     return horizon, dt
 
 
@@ -588,7 +589,7 @@ def run_command(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    reporting.emit_report(report, "structured", out_dir / "report.json")
+    reporting.emit_report(report, out_dir / "report.json")
     if csv_text is not None:
         reporting.write_text_atomic(out_dir / "sweep.csv", csv_text)
     meta = {

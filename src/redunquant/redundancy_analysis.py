@@ -36,7 +36,6 @@ from .stochastic_engine import (
     default_stationary_box,
     derived_seed,
     empirical_density,
-    euler_endpoints,
     sample_box,
     simulate_sde,
     smoothed_empirical_density,
@@ -148,9 +147,10 @@ def systemic_redundancy(
     exact Gaussians (constant sigma only), Euler-Maruyama histograms, or
     grid solutions of the stationary transport operator.
 
-    The Monte Carlo route draws the Euler endpoints exactly
-    (``euler_endpoints``) when sigma is constant and steps them
-    (``simulate_sde``) otherwise; provenance names the sampler
+    The Monte Carlo route takes each mode's endpoints from
+    ``simulate_sde``, which draws them exactly when sigma is constant and
+    steps them otherwise; unset ``horizon``/``dt`` take each mode's
+    ``default_sim_params``. Provenance names the sampler
     (``"exact_endpoint"`` or ``"euler_stepped"``) and carries batch-means
     standard errors of each KL, the entropy and r over 10 fixed path
     shards. Those cover sampling noise only, not histogram bias; below 20
@@ -176,15 +176,12 @@ def systemic_redundancy(
         if sys.d > 2:
             raise DimensionError("monte_carlo redundancy supports d <= 2 (histogram KL)")
         exact = isinstance(sys.sigma, ConstantDiffusion)
-        sampler = euler_endpoints if exact else simulate_sde
         mode_seeds = [derived_seed(seed, j) for j in range(n + 1)]
         sets = []
         horizons, dts = [], []
         for j in range(n + 1):
-            h_j, dt_j = default_sim_params(sys, gains, j)
-            h_j = horizon if horizon is not None else h_j
-            dt_j = dt if dt is not None else dt_j
-            sets.append(sampler(sys, gains, j, eps, h_j, dt_j, n_paths, mode_seeds[j]))
+            h_j, dt_j = default_sim_params(sys, gains, j, horizon, dt)
+            sets.append(simulate_sde(sys, gains, j, eps, h_j, dt_j, n_paths, mode_seeds[j]))
             horizons.append(h_j)
             dts.append(dt_j)
         boxes = [sample_box([sets[0], sets[i]], hist_cells) for i in range(1, n + 1)]

@@ -109,14 +109,9 @@ def write_text_atomic(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_report(report: dict, fmt: str, path) -> None:
-    """Write a structured (JSON) or tabular (CSV) report to ``path``."""
-    if fmt == "structured":
-        write_text_atomic(path, dumps_canonical(sanitize(report)) + "\n")
-    elif fmt == "tabular":
-        write_text_atomic(path, sweep_csv(report))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: dict, path) -> None:
+    """Write a report to ``path`` as canonical JSON."""
+    write_text_atomic(path, dumps_canonical(sanitize(report)) + "\n")
 
 
 def parse_report(path) -> dict:
@@ -189,28 +184,14 @@ def _csv_number(value) -> str:
     return format_float(value)
 
 
-def _csv_cell(value) -> str:
-    # sanitized rows may already carry "inf"/"-inf"/"nan" sentinel strings
-    return value if isinstance(value, str) else _csv_number(value)
-
-
-def sweep_csv(table: SweepTable | dict) -> str:
+def sweep_csv(table: SweepTable) -> str:
     """Flat table of (parameter, r, avg_term, entropy_term, per-channel KLs)."""
-    if isinstance(table, SweepTable):
-        table = sweep_to_dict(table)
-    rows = table["rows"]
-    n_channels = len(rows[0]["kl_per_channel"]) if rows else 0
-    header = [table["parameter"], "r", "avg_term", "entropy_term"] + [
+    n_channels = len(table.reports[0].kl_per_channel) if table.reports else 0
+    header = [table.parameter, "r", "avg_term", "entropy_term"] + [
         f"kl_{i}" for i in range(1, n_channels + 1)
     ]
     lines = [",".join(header)]
-    for value, row in zip(table["values"], rows):
-        cells = [
-            _csv_cell(value),
-            _csv_cell(row["r"]),
-            _csv_cell(row["avg_term"]),
-            _csv_cell(row["entropy_term"]),
-        ]
-        cells.extend(_csv_cell(kl) for kl in row["kl_per_channel"])
-        lines.append(",".join(cells))
+    for value, rep in zip(table.values, table.reports):
+        cells = [value, rep.r, rep.avg_term, rep.entropy_term, *rep.kl_per_channel]
+        lines.append(",".join(_csv_number(cell) for cell in cells))
     return "\n".join(lines) + "\n"

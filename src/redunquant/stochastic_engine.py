@@ -4,11 +4,10 @@ Three routes produce the stationary law of
 ``dx = A_j x dt + eps * sigma(x) dW``:
 
 * ``stationary_gaussian`` — exact, for constant sigma (a Lyapunov solve);
-* ``euler_endpoints`` / ``simulate_sde`` + ``empirical_density`` —
-  Euler-Maruyama Monte Carlo. For constant sigma the Euler endpoint is an
-  exact Gaussian, drawn directly from one RNG stream; ``simulate_sde``
-  steps every path through the recursion with per-path keyed streams and
-  covers any sigma;
+* ``simulate_sde`` + ``empirical_density`` — Euler-Maruyama Monte
+  Carlo. For constant sigma the Euler endpoint is an exact Gaussian,
+  drawn directly from one RNG stream (``euler_endpoints``); diag_affine
+  paths are stepped through the recursion with per-path keyed streams;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
@@ -125,18 +124,28 @@ def stationary_gaussian(
 
 
 def default_sim_params(
-    sys: MultiChannelSystem, gains: GainSet, mode: int
+    sys: MultiChannelSystem,
+    gains: GainSet,
+    mode: int,
+    horizon: float | None = None,
+    dt: float | None = None,
 ) -> tuple[float, float]:
-    """Default (horizon, dt): ~20 closed-loop time constants, and a step of
-    1e-3 * min(1, 1/||A_j||)."""
+    """(horizon, dt) of one mode, defaults filled in where a value is None:
+    ~20 closed-loop time constants, and a step of 1e-3 / max(1, ||A_j||).
+
+    Only a missing horizon needs a Hurwitz mode (NotHurwitzError
+    otherwise); the default step is defined for every A_j.
+    """
     A_j = closed_loop_matrix(sys, gains, mode)
-    alpha = spectral_abscissa(A_j)
-    if alpha >= 0.0:
-        raise NotHurwitzError(
-            f"mode {mode} is not Hurwitz (abscissa {alpha!r}); no stationary horizon exists"
-        )
-    horizon = 20.0 / abs(alpha)
-    dt = 1e-3 * min(1.0, 1.0 / float(np.linalg.norm(A_j, 2)))
+    if horizon is None:
+        alpha = spectral_abscissa(A_j)
+        if alpha >= 0.0:
+            raise NotHurwitzError(
+                f"mode {mode} is not Hurwitz (abscissa {alpha!r}); no stationary horizon exists"
+            )
+        horizon = 20.0 / abs(alpha)
+    if dt is None:
+        dt = 1e-3 * (1.0 / max(1.0, float(np.linalg.norm(A_j, 2))))
     return horizon, dt
 
 
@@ -173,26 +182,6 @@ def _diverged(x: np.ndarray) -> np.ndarray:
     return ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > _DIVERGENCE_LIMIT)
 
 
-def _chunk_weights(M: np.ndarray, E: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unrolled one-step map over ``span`` Euler steps for constant noise.
-
-    The recursion x_{k+1} = M x_k + E xi_k telescopes to
-    x_end = M^span x_0 + sum_j M^(span-1-j) E xi_j, i.e. a single GEMM
-    ``noise.reshape(nb, span*m) @ Pw`` with the step-j weight block
-    (M^(span-1-j) E)^T at rows j*m:(j+1)*m of Pw.
-    """
-    d = M.shape[0]
-    m = E.shape[1]
-    Pw = np.empty((span * m, d))
-    G = E.T  # (M^0 E)^T, for the final step
-    for j in range(span - 1, -1, -1):
-        Pw[j * m : (j + 1) * m] = G
-        if j > 0:
-            G = G @ M.T
-    Phi = np.linalg.matrix_power(M, span)
-    return Phi, Pw
-
-
 def simulate_sde(
     sys: MultiChannelSystem,
     gains: GainSet,
@@ -206,21 +195,23 @@ def simulate_sde(
 ) -> SampleSet:
     """Euler-Maruyama endpoints of n_paths trajectories of the perturbed loop.
 
-    Path i draws its noise from its own stream keyed by (seed, i), so the
-    result does not depend on batching, execution order or thread count.
-    Paths run in blocks with one noise buffer each, of at most
-    ``_MAX_NOISE_ELEMENTS`` doubles: a chunk of ``_CHUNK_STEPS // m``
-    steps, i.e. ``_CHUNK_STEPS`` normals per path. The fill pool draws the
-    chunk of every stream into it, then the calling thread steps it; the
-    two are not overlapped, because the step's small ufuncs and the fill
-    threads contend for the GIL. For diag_affine sigma each step
-    ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
+    For constant sigma the endpoint is an exact Gaussian, so this returns
+    ``euler_endpoints``: one RNG stream seeded by ``seed``, row i for path
+    i. For diag_affine sigma every path is stepped. Path i draws its noise
+    from its own stream keyed by (seed, i), so the result does not depend
+    on batching, execution order or thread count. Paths run in blocks with
+    one noise buffer each, of at most ``_MAX_NOISE_ELEMENTS`` doubles: a
+    chunk of ``_CHUNK_STEPS // m`` steps, i.e. ``_CHUNK_STEPS`` normals per
+    path. The fill pool draws the chunk of every stream into it, then the
+    calling thread steps it; the two are not overlapped, because the
+    step's small ufuncs and the fill threads contend for the GIL. Each
+    step ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
     ``amp = eps sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
-    For constant sigma the linear recursion over a chunk is a single
-    matrix product of the chunk's noise with precomputed step weights.
     Any state with |x| > 1e12 (or a non-finite value) at the end of a
     chunk aborts with DivergenceError carrying the offending path index.
     """
+    if isinstance(sys.sigma, ConstantDiffusion):
+        return euler_endpoints(sys, gains, mode, eps, horizon, dt, n_paths, seed, x0)
     eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
         sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
     )
@@ -228,38 +219,24 @@ def simulate_sde(
     m = sys.sigma.m
     amp = eps * np.sqrt(dt)
     step_map = np.eye(d) + dt * A_j
+    amp_base = amp * sys.sigma.base[:, None]
+    amp_slope = amp * sys.sigma.slope[:, None]
 
-    constant = isinstance(sys.sigma, ConstantDiffusion)
-    if constant:
-        noise_gain = amp * sys.sigma.matrix
-        weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-        def advance(x, noise):
-            nb, steps, _ = noise.shape
-            if steps not in weights:
-                weights[steps] = _chunk_weights(step_map, noise_gain, steps)
-            Phi, Pw = weights[steps]
-            return x @ Phi.T + noise.reshape(nb, steps * m) @ Pw
-
-    else:
-        amp_base = amp * sys.sigma.base[:, None]
-        amp_slope = amp * sys.sigma.slope[:, None]
-
-        def advance(x, noise):
-            # the state is stepped as (d, nb) so every broadcast runs along
-            # the paths, not along a length-d inner axis
-            x = np.ascontiguousarray(x.T)
-            y = np.empty_like(x)
-            kick = np.empty_like(x)
-            for k in range(noise.shape[1]):
-                np.abs(x, out=kick)
-                kick *= amp_slope
-                kick += amp_base
-                kick *= noise[:, k].T
-                np.matmul(step_map, x, out=y)
-                y += kick
-                x, y = y, x
-            return x.T
+    def advance(x, noise):
+        # the state is stepped as (d, nb) so every broadcast runs along
+        # the paths, not along a length-d inner axis
+        x = np.ascontiguousarray(x.T)
+        y = np.empty_like(x)
+        kick = np.empty_like(x)
+        for k in range(noise.shape[1]):
+            np.abs(x, out=kick)
+            kick *= amp_slope
+            kick += amp_base
+            kick *= noise[:, k].T
+            np.matmul(step_map, x, out=y)
+            y += kick
+            x, y = y, x
+        return x.T
 
     # One noise buffer per path block: the pool fills it, then this thread
     # steps it. Filling the next chunk while stepping this one would take a
@@ -335,16 +312,17 @@ def euler_endpoints(
     With ``M = I + dt A_j`` and ``E = eps sqrt(dt) S``, the Euler recursion
     ``x_{k+1} = M x_k + E xi_k`` ends after ``n = round(horizon/dt)`` steps
     at ``N(M^n x0, C_n)`` with ``C_n = sum_{j<n} M^j E E^T M^j^T``
-    (``euler_endpoint_law``), so this samples the same law as
-    ``simulate_sde`` with d normals per path instead of n*m. The normals
-    come from one SFC64 stream seeded by ``seed`` as one (n_paths, d)
-    block, row i for path i, so the first k paths do not depend on
-    ``n_paths``; the endpoints are those rows times a Cholesky factor of
-    C_n (positive definite for eps > 0, since C_n >= E E^T and S S^T is
-    elliptic). eps = 0 returns ``M^n x0`` exactly. Arguments and
-    validation are those of ``simulate_sde``. Its divergence contract is
-    checked at the endpoint only: a non-finite endpoint, or one with
-    |x| > 1e12, raises DivergenceError carrying the first such path index.
+    (``euler_endpoint_law``), so this samples the law of the stepped
+    recursion with d normals per path instead of n*m; ``simulate_sde``
+    returns it for constant sigma. The normals come from one SFC64 stream
+    seeded by ``seed`` as one (n_paths, d) block, row i for path i, so the
+    first k paths do not depend on ``n_paths``; the endpoints are those
+    rows times a Cholesky factor of C_n (positive definite for eps > 0,
+    since C_n >= E E^T and S S^T is elliptic). eps = 0 returns ``M^n x0``
+    exactly. Arguments and validation are those of ``simulate_sde``. Its
+    divergence contract is checked at the endpoint only: a non-finite
+    endpoint, or one with |x| > 1e12, raises DivergenceError carrying the
+    first such path index.
     """
     if not isinstance(sys.sigma, ConstantDiffusion):
         raise UnsupportedDiffusionError(
@@ -390,25 +368,31 @@ def sample_box(sample_sets, n_cells: int, pad_fraction: float = 0.025) -> Box:
     return Box(lo - pad, hi + pad, np.full(d, int(n_cells)))
 
 
+def _histogram(samples: SampleSet, box: Box) -> tuple[np.ndarray, float]:
+    """Sample counts per cell of the box, and the fraction of samples that
+    fell outside it. Leakage above 10% raises OutOfBoxError."""
+    if box.dim != samples.d:
+        raise DimensionError(f"box dimension {box.dim} does not match samples ({samples.d})")
+    edges = [box.nodes(k) for k in range(box.dim)]
+    counts, _ = np.histogramdd(samples.samples, bins=edges)
+    leakage = 1.0 - float(counts.sum()) / samples.n
+    if leakage > 0.10:
+        raise OutOfBoxError(
+            f"{leakage:.1%} of samples fell outside the box; enlarge it",
+            leakage=leakage,
+        )
+    return counts, leakage
+
+
 def empirical_density(samples: SampleSet, box: Box) -> tuple[GridDensity, float]:
     """Normalized histogram of the samples at the box's cell centers.
 
     Returns the density together with the leakage fraction (samples that
     fell outside the box). Leakage above 10% raises OutOfBoxError.
     """
-    if box.dim != samples.d:
-        raise DimensionError(f"box dimension {box.dim} does not match samples ({samples.d})")
-    edges = [box.nodes(k) for k in range(box.dim)]
-    counts, _ = np.histogramdd(samples.samples, bins=edges)
-    inside = float(counts.sum())
-    leakage = 1.0 - inside / samples.n
-    if leakage > 0.10:
-        raise OutOfBoxError(
-            f"{leakage:.1%} of samples fell outside the box; enlarge it",
-            leakage=leakage,
-        )
-    values = counts / (inside * box.cell_volume)
-    return GridDensity(box, values), float(leakage)
+    counts, leakage = _histogram(samples, box)
+    values = counts / (float(counts.sum()) * box.cell_volume)
+    return GridDensity(box, values), leakage
 
 
 def smoothed_empirical_density(
@@ -420,15 +404,10 @@ def smoothed_empirical_density(
     empty tail cells wherever the other sample set still carries mass,
     which turns the estimate into the +inf sentinel at any finite sample
     size. The pseudo-count stands in for the reference law's true tiny
-    tail mass (bias O(alpha * n_cells / n)).
+    tail mass (bias O(alpha * n_cells / n)). Leakage above 10% raises
+    OutOfBoxError.
     """
-    if box.dim != samples.d:
-        raise DimensionError(f"box dimension {box.dim} does not match samples ({samples.d})")
-    edges = [box.nodes(k) for k in range(box.dim)]
-    counts, _ = np.histogramdd(samples.samples, bins=edges)
-    inside = float(counts.sum())
-    if 1.0 - inside / samples.n > 0.10:
-        raise OutOfBoxError("more than 10% of samples fell outside the box", leakage=1.0 - inside / samples.n)
+    counts, _ = _histogram(samples, box)
     return GridDensity.from_unnormalized(box, counts + float(alpha))
 
 

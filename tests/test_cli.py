@@ -300,8 +300,8 @@ class TestReportDeterminism:
     def test_emit_is_byte_deterministic(self, tmp_path):
         report = {"b": 1.5, "a": [math.pi, 2, True, None, "x"], "nested": {"k": 0.1}}
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        reporting.emit_report(report, "structured", p1)
-        reporting.emit_report(report, "structured", p2)
+        reporting.emit_report(report, p1)
+        reporting.emit_report(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip(self, tmp_path):
@@ -309,7 +309,7 @@ class TestReportDeterminism:
             {"x": 0.1, "y": [1.0, 2.5e-300, -0.0], "inf": math.inf, "s": "text", "n": None}
         )
         path = tmp_path / "r.json"
-        reporting.emit_report(report, "structured", path)
+        reporting.emit_report(report, path)
         assert reporting.parse_report(path) == report
 
     def test_nonfinite_become_sentinels(self):
@@ -465,6 +465,26 @@ class TestExitCodes:
         assert code == 1
         assert f"error: config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sim, code",
+        [(None, 1), ({"dt": 0.01}, 1), ({"horizon": 1.0}, 0)],
+        ids=["no_sim", "dt_only", "horizon_only"],
+    )
+    def test_simulate_non_hurwitz_mode(self, tmp_path, sim, code, capsys):
+        # with one channel out, A_1 = 1 - 1 = 0: no stationary horizon to
+        # default to, but any configured horizon runs
+        payload = dict(json.loads(BUNDLED_CONFIG.read_text()), gains=[[[-1.0]], [[-1.0]]], mode=1)
+        if sim is not None:
+            payload["sim"] = sim
+        out = tmp_path / "new"
+        argv = ["simulate", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]
+        assert main(argv) == code
+        if code == 1:
+            assert "error: config field 'sim.horizon'" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "report.json").exists()
 
     def test_help_exit0(self, capsys):
         with pytest.raises(SystemExit) as exit_:

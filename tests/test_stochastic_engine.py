@@ -115,6 +115,23 @@ class TestStationaryGaussian:
         )
 
 
+class TestDefaultSimParams:
+    def test_fills_only_missing_values(self, scalar_two_channel):
+        system, gains = scalar_two_channel  # A_0 = -3
+        horizon, dt = rq.default_sim_params(system, gains, 0)
+        assert (horizon, dt) == (20.0 / 3.0, 1e-3 * min(1.0, 1.0 / 3.0))
+        assert rq.default_sim_params(system, gains, 0, horizon=2.0) == (2.0, dt)
+        assert rq.default_sim_params(system, gains, 0, dt=0.5) == (horizon, 0.5)
+
+    def test_only_the_default_horizon_needs_a_hurwitz_mode(self, scalar_two_channel):
+        system, _ = scalar_two_channel
+        gains = rq.GainSet([[[-1.0]], [[-1.0]]])  # A_1 = 0
+        for dt in (None, 0.01):
+            with pytest.raises(NotHurwitzError):
+                rq.default_sim_params(system, gains, 1, dt=dt)
+        assert rq.default_sim_params(system, gains, 1, horizon=1.0) == (1.0, 1e-3)
+
+
 class TestSimulate:
     def test_zero_noise_stays_at_origin(self, ou_system):
         system, gains = ou_system
@@ -176,7 +193,8 @@ class TestSimulate:
         assert out.samples.var() == pytest.approx(0.5, rel=0.1)
 
     def test_diag_affine_zero_slope_matches_constant(self):
-        # same noise streams, same recursion up to summation order
+        # the stepped constant twin, on the same keyed streams: the same
+        # recursion up to summation order
         affine = rq.MultiChannelSystem(
             [[-1.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.0])
         )
@@ -185,8 +203,21 @@ class TestSimulate:
         )
         gains = rq.GainSet([[[0.0]]])
         a = rq.simulate_sde(affine, gains, 0, 0.7, 2.0, 1e-2, 100, seed=4)
-        b = rq.simulate_sde(constant, gains, 0, 0.7, 2.0, 1e-2, 100, seed=4)
-        np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
+        b = euler_stepped_reference(constant, [[-1.0]], 0.7, 1e-2, 200, 100, 4)
+        np.testing.assert_allclose(a.samples, b, atol=1e-12)
+
+    def test_constant_sigma_draws_exact_endpoints(self):
+        A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
+        S = np.array([[1.0, 0.4], [0.0, 0.9]])
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+        gains = rq.GainSet([np.zeros((1, 2))])
+        for x0 in (None, [0.5, -0.25]):
+            out = rq.simulate_sde(system, gains, 0, 0.8, 3.0, 1e-2, 300, 11, x0=x0)
+            exact = rq.euler_endpoints(system, gains, 0, 0.8, 3.0, 1e-2, 300, 11, x0=x0)
+            assert np.array_equal(out.samples, exact.samples)
+            assert (out.t_final, out.dt, out.seed, out.mode) == (
+                exact.t_final, exact.dt, exact.seed, exact.mode
+            )
 
     def test_validation(self, ou_system):
         system, gains = ou_system
@@ -204,14 +235,13 @@ def _plane(sigma):
 
 
 _PLANE_NOISE = {
-    "constant": rq.ConstantDiffusion([[0.8, 0.2], [0.0, 0.6]]),
     "diag_affine": rq.DiagAffineDiffusion([0.7, 0.9], [0.3, 0.5]),
 }
 
 
 class TestSimulateStepping:
-    """simulate_sde against a plain per-path, per-step loop, and its
-    independence of path blocks and fill threads."""
+    """The stepped (diag_affine) simulate_sde against a plain per-path,
+    per-step loop, and its independence of path blocks and fill threads."""
 
     @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
     @pytest.mark.parametrize("blocks", [1, 3], ids=["one_block", "three_blocks"])
@@ -318,14 +348,18 @@ class TestEulerEndpoints:
             rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
 
     def test_covariance_matches_stepped_sampler(self):
-        # both samplers target the law of the same Euler endpoint
+        # both samplers target the law of the same Euler endpoint: the
+        # stepped side is the zero-slope diag_affine twin of a diagonal S
         A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
-        S = np.array([[1.0, 0.4], [0.0, 0.9]])
+        S = np.diag([1.0, 0.9])
         system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+        twin = rq.MultiChannelSystem(
+            A, [np.zeros((2, 1))], rq.DiagAffineDiffusion(np.diag(S), [0.0, 0.0])
+        )
         gains = rq.GainSet([np.zeros((1, 2))])
         n = 10_000
         exact = rq.euler_endpoints(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
-        stepped = rq.simulate_sde(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
+        stepped = rq.simulate_sde(twin, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
         _, law = euler_endpoint_law(np.eye(2) + 1e-2 * A, 1e-2 * S @ S.T, 500)
         var = np.diag(law)
         # sampling variance of a Gaussian covariance entry: (C_kk C_ll + C_kl^2) / n
