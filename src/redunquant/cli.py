@@ -7,11 +7,12 @@ Usage:
                [--paper-literal-jacobian] [--avg-normalization paper|mean]
 
 Commands: verify, synth, redundancy, sweep-eps, sweep-time, simulate,
-fp-grid. Exit codes: 0 success; 1 invalid configuration or invocation;
-2 gains not reliable / synthesis failed; 3 numerical failure. Every run
-writes a deterministic ``report.json`` (plus ``sweep.csv`` for sweeps);
-wall-clock timing goes to the non-deterministic ``meta.json`` sidecar so
-reports stay byte-identical across reruns.
+fp-grid. Exit codes: 0 success; 1 invalid configuration or invocation, or
+one the chosen route does not support; 2 gains not reliable / synthesis
+failed; 3 numerical failure. Every run writes a deterministic
+``report.json`` (plus ``sweep.csv`` for sweeps); wall-clock timing goes to
+the non-deterministic ``meta.json`` sidecar so reports stay byte-identical
+across reruns.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ from .errors import (
     ConfigError,
     ConfigSyntaxError,
     ConfigValidationError,
+    DimensionError,
     IoError,
     NotHurwitzError,
     NotReliableError,
+    OutOfBoxError,
     RedunquantError,
     SynthesisFailedError,
+    UnsupportedDiffusionError,
 )
 from .redundancy_analysis import (
     METHODS,
@@ -527,6 +531,8 @@ def run_command(
                 sys_, gains, spec.mode, eps, horizon, dt, spec.n_paths, seed
             )
             mean = samples.samples.mean(axis=0)
+            # np.cov needs two paths; with one the covariance is the nan sentinel
+            cov = np.cov(samples.samples.T) if samples.n > 1 else np.full(sys_.d**2, np.nan)
             outputs = {
                 "method": "monte_carlo",
                 "gains_source": source,
@@ -538,7 +544,7 @@ def run_command(
                     "dt": samples.dt,
                     "seed": seed,
                     "mean": mean.tolist(),
-                    "covariance": np.cov(samples.samples.T).reshape(sys_.d, sys_.d).tolist(),
+                    "covariance": cov.reshape(sys_.d, sys_.d).tolist(),
                     "min": samples.samples.min(axis=0).tolist(),
                     "max": samples.samples.max(axis=0).tolist(),
                 },
@@ -579,6 +585,10 @@ def run_command(
     except (NotReliableError, SynthesisFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (UnsupportedDiffusionError, DimensionError, OutOfBoxError) as exc:
+        # the route cannot take this configuration; nothing numerical failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except RedunquantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -640,10 +650,7 @@ def main(argv=None) -> int:
             paper_literal_jacobian=args.paper_literal_jacobian,
             avg_normalization=args.avg_normalization,
         )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IoError as exc:
+    except (ConfigError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -7,10 +7,9 @@ density rho0 transports as
     rho_j(t, x) = rho0(exp(-A_j t) x) * exp(-trace(A_j) t),
 
 where A_j is the mode-j closed-loop matrix. The Jacobian factor uses the
-closed-loop trace, which is what keeps total mass constant in time; the
-``paper_literal_jacobian`` switch substitutes the open-loop trace(A)
-factor instead, for diagnostic comparison (it breaks mass conservation
-whenever the gains contribute net trace).
+closed-loop trace, which is what keeps total mass constant in time. The
+paper's literal open-loop trace(A) factor only rescales each mode's mass
+by a constant, which ``liouville_redundancy`` records instead.
 """
 
 from __future__ import annotations
@@ -69,15 +68,13 @@ def transported_pdf(
     rho0: GeneralDensity,
     t: float,
     points: np.ndarray,
-    paper_literal_jacobian: bool = False,
 ) -> np.ndarray:
     """Evaluate the transported density at many points, shape (n, d)."""
     t = _check_time(t)
     A_j = closed_loop_matrix(sys, gains, mode)
     Phi_inv = matrix_exponential(A_j, -t)
     pulled_back = np.atleast_2d(np.asarray(points, dtype=float)) @ Phi_inv.T
-    trace = float(np.trace(sys.A)) if paper_literal_jacobian else float(np.trace(A_j))
-    return np.asarray(rho0.pdf(pulled_back)) * np.exp(-trace * t)
+    return np.asarray(rho0.pdf(pulled_back)) * np.exp(-float(np.trace(A_j)) * t)
 
 
 def density_at(
@@ -87,27 +84,12 @@ def density_at(
     rho0: GeneralDensity,
     t: float,
     x: np.ndarray,
-    paper_literal_jacobian: bool = False,
 ) -> float:
     """Transported density at a single point x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != sys.d:
         raise DimensionError(f"point has dimension {x.size}, expected {sys.d}")
-    out = transported_pdf(
-        sys, gains, mode, rho0, t, x[None, :], paper_literal_jacobian=paper_literal_jacobian
-    )
-    return float(out[0])
-
-
-def _support_box(rho0: GeneralDensity, stds: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(rho0, GaussianDensity):
-        spread = stds * np.sqrt(np.diag(rho0.cov))
-        return rho0.mean - spread, rho0.mean + spread
-    if isinstance(rho0, UniformBoxDensity):
-        return rho0.lo.copy(), rho0.hi.copy()
-    if isinstance(rho0, GridDensity):
-        return rho0.box.lo.copy(), rho0.box.hi.copy()
-    raise DomainError(f"unsupported initial density type {type(rho0).__name__}")
+    return float(transported_pdf(sys, gains, mode, rho0, t, x[None, :])[0])
 
 
 def default_transport_box(
@@ -117,7 +99,6 @@ def default_transport_box(
     rho0: GeneralDensity,
     t: float,
     n: int = 400,
-    stds: float = 8.0,
 ) -> Box:
     """Box covering the transported support (8 sigma for Gaussian rho0).
 
@@ -128,11 +109,16 @@ def default_transport_box(
     t = _check_time(t)
     if isinstance(rho0, GaussianDensity):
         g_t = pushforward_gaussian(sys, gains, mode, rho0, t)
-        spread = stds * np.sqrt(np.diag(g_t.cov))
+        spread = 8.0 * np.sqrt(np.diag(g_t.cov))
         return Box(g_t.mean - spread, g_t.mean + spread, np.full(sys.d, n))
     if sys.d > 12:
         raise DomainError("default box construction supports d <= 12; pass a box explicitly")
-    lo0, hi0 = _support_box(rho0)
+    if isinstance(rho0, UniformBoxDensity):
+        lo0, hi0 = rho0.lo, rho0.hi
+    elif isinstance(rho0, GridDensity):
+        lo0, hi0 = rho0.box.lo, rho0.box.hi
+    else:
+        raise DomainError(f"unsupported initial density type {type(rho0).__name__}")
     A_j = closed_loop_matrix(sys, gains, mode)
     Phi = matrix_exponential(A_j, t)
     corners = np.stack([np.where(mask, hi0, lo0) for mask in np.ndindex(*([2] * sys.d))])
@@ -150,7 +136,6 @@ def integrate_density(
     rho0: GeneralDensity,
     t: float,
     box: Box | None = None,
-    paper_literal_jacobian: bool = False,
 ) -> QuadratureResult:
     """Trapezoidal mass of the transported density over a box.
 
@@ -171,10 +156,7 @@ def integrate_density(
     if np.prod(n + 1) > _MAX_QUADRATURE_POINTS:
         raise DomainError("quadrature grid too large; reduce resolution or dimension")
 
-    values = transported_pdf(
-        sys, gains, mode, rho0, t, box.node_points(),
-        paper_literal_jacobian=paper_literal_jacobian,
-    ).reshape(tuple(n + 1))
+    values = transported_pdf(sys, gains, mode, rho0, t, box.node_points()).reshape(tuple(n + 1))
 
     def trapezoid(field: np.ndarray, spacings: np.ndarray) -> float:
         out = field

@@ -42,7 +42,7 @@ from .stochastic_engine import (
     solve_stationary_fp_grid,
     stationary_gaussian,
 )
-from .system_model import ConstantDiffusion, GainSet, MultiChannelSystem
+from .system_model import ConstantDiffusion, GainSet, MultiChannelSystem, closed_loop_matrix
 
 METHODS = ("closed_form", "monte_carlo", "grid")
 NORMALIZATIONS = ("paper", "mean")
@@ -194,7 +194,7 @@ def systemic_redundancy(
             "horizon": horizons,
             "dt": dts,
             "hist_cells": hist_cells,
-            "reference_smoothing": 0.05,
+            "reference_smoothing": _REFERENCE_SMOOTHING,
             "sampler": "exact_endpoint" if exact else "euler_stepped",
             "standard_error": _batch_means_se(sets, boxes, normalization),
         }
@@ -230,13 +230,17 @@ def systemic_redundancy(
     return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
 
 
+#: Pseudo-count per cell of the Monte Carlo route's reference histogram.
+_REFERENCE_SMOOTHING = 0.05
+
+
 def _histogram_terms(sets, boxes) -> tuple[list[float], float]:
     """Histogram KL of each outage set against the smoothed nominal set on
     their shared box ``boxes[i-1]``, and the nominal entropy on ``boxes[-1]``."""
     kls = []
     for s_i, box in zip(sets[1:], boxes):
         q_i, _ = empirical_density(s_i, box)
-        kls.append(grid_kl(q_i, smoothed_empirical_density(sets[0], box)))
+        kls.append(grid_kl(q_i, smoothed_empirical_density(sets[0], box, _REFERENCE_SMOOTHING)))
     h0, _ = empirical_density(sets[0], boxes[-1])
     return kls, grid_entropy(h0)
 
@@ -311,10 +315,12 @@ def liouville_redundancy(
 ) -> RedundancyReport:
     """Redundancy functional r_t along the unperturbed density flow.
 
-    Gaussian rho0 takes the exact pushforward path. Other initial
-    densities (or the literal-jacobian diagnostic, which the Gaussian
-    path cannot express) are evaluated on a shared grid; the mass of each
-    transported density before normalization is recorded in provenance.
+    Gaussian rho0 takes the exact pushforward path; other initial
+    densities are evaluated on a shared grid, with the mass of each
+    transported density before normalization in provenance. The literal
+    Jacobian exp(-trace(A) t) only rescales mode j by exp((trace(A_j) -
+    trace(A)) t), so r_t does not depend on ``paper_literal_jacobian``;
+    the flag records that factor as ``raw_masses`` (times the grid mass).
     """
     normalization = _check_normalization(avg_normalization)
     _require_reliable(sys, gains)
@@ -322,13 +328,20 @@ def liouville_redundancy(
     if not (np.isfinite(t) and t >= 0.0):
         raise DomainError(f"t must be a finite nonnegative real, got {t!r}")
     n = sys.n_channels
+    drift = None
+    if paper_literal_jacobian:
+        traces = np.array([np.trace(closed_loop_matrix(sys, gains, j)) for j in range(n + 1)])
+        drift = np.exp((traces - np.trace(sys.A)) * t).tolist()
 
-    if isinstance(rho0, GaussianDensity) and not paper_literal_jacobian:
+    if isinstance(rho0, GaussianDensity):
         flows = [pushforward_gaussian(sys, gains, j, rho0, t) for j in range(n + 1)]
         kls = [gaussian_kl(flows[i], flows[0]) for i in range(1, n + 1)]
         entropy_term = gaussian_entropy(flows[0])
+        prov = {"t": t}
+        if drift is not None:
+            prov.update(paper_literal_jacobian=True, raw_masses=drift)
         return _assemble_report(
-            kls, entropy_term, "closed_form", normalization, t=t, provenance={"t": t}
+            kls, entropy_term, "closed_form", normalization, t=t, provenance=prov
         )
 
     if sys.d > 2:
@@ -347,11 +360,11 @@ def liouville_redundancy(
     masses = []
     densities = []
     for j in range(n + 1):
-        values = transported_pdf(
-            sys, gains, j, rho0, t, points, paper_literal_jacobian=paper_literal_jacobian
-        ).reshape(tuple(box.n))
+        values = transported_pdf(sys, gains, j, rho0, t, points).reshape(tuple(box.n))
         masses.append(float(values.sum() * box.cell_volume))
         densities.append(GridDensity.from_unnormalized(box, values))
+    if drift is not None:
+        masses = [m * f for m, f in zip(masses, drift)]
     kls = [grid_kl(densities[i], densities[0]) for i in range(1, n + 1)]
     entropy_term = grid_entropy(densities[0])
     prov = {
@@ -460,10 +473,10 @@ def time_sweep(
     reference_eps: float | None = None,
     avg_normalization: str = "paper",
     paper_literal_jacobian: bool = False,
-    grid_cells: int | None = None,
 ) -> SweepTable:
     """Flow redundancy r_t across times, optionally compared against the
-    stationary measure at a reference noise level."""
+    stationary measure at a reference noise level; ``paper_literal_jacobian``
+    only adds each row's literal mass drift to its provenance."""
     ordered = _sorted_strictly(t_list, "t_list")
     if ordered[0] < 0.0:
         raise DomainError("t_list entries must be nonnegative")
@@ -477,7 +490,6 @@ def time_sweep(
                 t,
                 paper_literal_jacobian=paper_literal_jacobian,
                 avg_normalization=avg_normalization,
-                grid_cells=grid_cells,
             )
         )
     r_ref = None

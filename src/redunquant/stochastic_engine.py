@@ -357,13 +357,13 @@ def euler_endpoints(
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 
-def sample_box(sample_sets, n_cells: int, pad_fraction: float = 0.025) -> Box:
-    """Smallest padded box covering every sample in the given sets."""
+def sample_box(sample_sets, n_cells: int) -> Box:
+    """Smallest box covering every sample in the given sets, padded by 2.5 % of the span."""
     mats = [s.samples for s in sample_sets]
     lo = np.min([m.min(axis=0) for m in mats], axis=0)
     hi = np.max([m.max(axis=0) for m in mats], axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    pad = pad_fraction * span + 1e-12
+    pad = 0.025 * span + 1e-12
     d = mats[0].shape[1]
     return Box(lo - pad, hi + pad, np.full(d, int(n_cells)))
 
@@ -395,9 +395,7 @@ def empirical_density(samples: SampleSet, box: Box) -> tuple[GridDensity, float]
     return GridDensity(box, values), leakage
 
 
-def smoothed_empirical_density(
-    samples: SampleSet, box: Box, alpha: float = 0.05
-) -> GridDensity:
+def smoothed_empirical_density(samples: SampleSet, box: Box, alpha: float) -> GridDensity:
     """Histogram with ``alpha`` pseudo-counts added to every cell.
 
     Use as the *reference* density in a histogram KL: raw histograms have
@@ -490,10 +488,9 @@ def default_stationary_box(
     gains: GainSet,
     mode: int,
     eps: float,
-    k: float = 6.0,
     n_cells: int | None = None,
 ) -> Box:
-    """Box of +- k times the largest stationary standard deviation per axis.
+    """Box of +- 6 times the largest stationary standard deviation per axis.
 
     For affine diagonal sigma the spread is estimated from a one-step
     fixed point of the Lyapunov equation with sigma frozen at the current
@@ -511,7 +508,7 @@ def default_stationary_box(
         std = np.sqrt(np.diag(P))
         P = solve_lyapunov(A_j, eps**2 * np.diag((base + slope * std) ** 2))
     std = np.sqrt(np.diag(P))
-    width = np.maximum(k * std.max(), k * std)
+    width = np.full(sys.d, 6.0 * std.max())
     if n_cells is None:
         n_cells = 801 if sys.d == 1 else 101
     return Box(-width, width, np.full(sys.d, int(n_cells)))

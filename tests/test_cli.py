@@ -24,6 +24,19 @@ SCALAR_CONFIG = {
     "epsilon": 0.1,
 }
 
+DIAG_AFFINE_CONFIG = {
+    "system": dict(SCALAR_CONFIG["system"], sigma={"type": "diag_affine", "c": [1.0], "s": [0.5]})
+}
+
+D3_CONFIG = {
+    "system": {
+        "A": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+        "B": [[[1.0], [0.0], [0.0]]],
+        "sigma": {"type": "constant", "S": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    },
+    "gains": [[[0.0, 0.0, 0.0]]],
+}
+
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
@@ -243,6 +256,15 @@ class TestRunCommand:
         assert sim["n_paths"] == 2000
         assert sim["seed"] == 42
 
+    def test_simulate_single_path_covariance_is_nan(self, tmp_path, capsys):
+        payload = dict(SCALAR_CONFIG, sim={"n_paths": 1})
+        spec = parse_config(write_config(tmp_path, payload))
+        out = tmp_path / "out"
+        assert run_command("simulate", spec, out) == 0
+        sim = reporting.parse_report(out / "report.json")["outputs"]["simulation"]
+        assert sim["covariance"] == [["nan"]]
+        assert capsys.readouterr().err == ""
+
     def test_redundancy_without_gains_synthesizes(self, tmp_path):
         payload = {k: v for k, v in SCALAR_CONFIG.items() if k != "gains"}
         spec = parse_config(write_config(tmp_path, payload))
@@ -264,16 +286,20 @@ class TestRunCommand:
 
     def test_paper_literal_jacobian_flag(self, tmp_path):
         payload = dict(SCALAR_CONFIG)
-        payload["t_list"] = [0.5]
+        payload["t_list"] = [0.5, 1.0, 2.0]
         payload["rho0"] = {"mean": [0.0], "cov": [[1.0]]}
         spec = parse_config(write_config(tmp_path, payload))
-        out = tmp_path / "out"
-        assert run_command("sweep-time", spec, out, paper_literal_jacobian=True) == 0
-        report = reporting.parse_report(out / "report.json")
-        row = report["outputs"]["sweep"]["rows"][0]
-        assert row["method"] == "grid"
-        assert row["provenance"]["raw_masses"][0] == pytest.approx(np.exp(-2.0), rel=1e-3)
+        assert run_command("sweep-time", spec, tmp_path / "plain") == 0
+        assert run_command("sweep-time", spec, tmp_path / "out", paper_literal_jacobian=True) == 0
+        plain = reporting.parse_report(tmp_path / "plain" / "report.json")
+        report = reporting.parse_report(tmp_path / "out" / "report.json")
         assert report["options"]["paper_literal_jacobian"] is True
+        rows = report["outputs"]["sweep"]["rows"]
+        for t, row, plain_row in zip(payload["t_list"], rows, plain["outputs"]["sweep"]["rows"]):
+            assert row["method"] == "closed_form"
+            # nominal loop trace -3 against plant trace +1
+            assert row["provenance"]["raw_masses"][0] == pytest.approx(np.exp(-4.0 * t), rel=1e-12)
+            assert row["r"] == plain_row["r"]
 
     def test_fp_grid_density(self, tmp_path):
         payload = {
@@ -485,6 +511,31 @@ class TestExitCodes:
             assert not out.exists()
         else:
             assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["redundancy"], DIAG_AFFINE_CONFIG, "requires constant sigma"),
+            (["redundancy", "--method", "grid"], D3_CONFIG, "supports d in {1, 2}"),
+            (["redundancy", "--method", "monte_carlo"], D3_CONFIG, "supports d <= 2"),
+            (["fp-grid"], D3_CONFIG, "supports d in {1, 2}"),
+            (
+                ["simulate"],
+                # the stationary law has std 0.04, so 96.5 % of the samples miss the box
+                {"sim": {"n_paths": 2000}, "grid": {"lo": [0.07], "hi": [1.0], "n_cells": [10]}},
+                "fell outside the box; enlarge it",
+            ),
+        ],
+        ids=["closed_form_diag_affine", "grid_d3", "monte_carlo_d3", "fp_grid_d3", "simulate_box"],
+    )
+    def test_unsupported_configuration_exit1(self, tmp_path, argv, config, message, capsys):
+        # the route cannot take the configuration: exit 1, not a numerical failure
+        payload = dict(SCALAR_CONFIG, **config)
+        out = tmp_path / "new"
+        code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exit0(self, capsys):
         with pytest.raises(SystemExit) as exit_:

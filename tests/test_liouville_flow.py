@@ -107,14 +107,6 @@ class TestDensityAt:
             vals = rq.transported_pdf(system, gains, 0, g0, t, xs[:, None])
             assert np.all(vals > 0.0)
 
-    def test_paper_literal_jacobian_differs(self, scalar_two_channel):
-        system, gains = scalar_two_channel
-        g0 = rq.GaussianDensity([0.0], [[1.0]])
-        conserving = rq.density_at(system, gains, 0, g0, 1.0, [0.0])
-        literal = rq.density_at(system, gains, 0, g0, 1.0, [0.0], paper_literal_jacobian=True)
-        # closed loop has trace -3 while the plant alone has trace +1
-        assert literal == pytest.approx(conserving * np.exp(-4.0), rel=1e-12)
-
 
 class TestIntegrateDensity:
     def test_gaussian_time_zero(self):
@@ -145,15 +137,6 @@ class TestIntegrateDensity:
         box = rq.Box([-1.0], [1.0], [200])
         result = rq.integrate_density(system, gains, 0, g0, 0.0, box)
         assert result.value == pytest.approx(0.6827, abs=1e-3)  # mass inside 1 sigma
-
-    def test_paper_literal_jacobian_breaks_conservation(self, scalar_two_channel):
-        system, gains = scalar_two_channel
-        g0 = rq.GaussianDensity([0.0], [[1.0]])
-        result = rq.integrate_density(
-            system, gains, 0, g0, 0.5, paper_literal_jacobian=True
-        )
-        # gains contribute trace -4, so literal mass drifts by e^(-4 t)
-        assert result.value == pytest.approx(np.exp(-2.0), rel=1e-6)
 
     def test_uniform_rho0_mass(self):
         system, gains = _ou_single()

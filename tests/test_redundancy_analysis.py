@@ -210,16 +210,38 @@ class TestLiouvilleRedundancy:
         assert numeric.kl_per_channel == (math.inf, math.inf)
         assert numeric.r == math.inf
 
-    def test_paper_literal_jacobian_records_mass_drift(self, scalar_two_channel):
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_paper_literal_jacobian_records_mass_drift(self, scalar_two_channel, t):
         system, gains = scalar_two_channel
         rho0 = rq.GaussianDensity([0.0], [[1.0]])
-        report = rq.liouville_redundancy(
-            system, gains, rho0, 0.5, paper_literal_jacobian=True
+        # the plant has trace +1; the nominal loop has trace -3 and either
+        # outage loop -1, so the literal density of mode j integrates to
+        # e^{(trace(A_j) - trace(A)) t}
+        drift = np.exp(np.array([-4.0, -2.0, -2.0]) * t)
+        plain = rq.liouville_redundancy(system, gains, rho0, t)
+        literal = rq.liouville_redundancy(system, gains, rho0, t, paper_literal_jacobian=True)
+        assert literal.method == "closed_form"
+        assert literal.provenance["paper_literal_jacobian"] is True
+        assert literal.provenance["raw_masses"] == pytest.approx(drift, rel=1e-12)
+        assert literal.r == plain.r
+
+        class AnalyticStart:  # full-support evaluator that skips the closed path
+            dim = 1
+
+            def pdf(self, x):
+                return rho0.pdf(x)
+
+        box = rq.Box([-8.0], [8.0], [2001])
+        plain = rq.liouville_redundancy(system, gains, AnalyticStart(), t, box=box)
+        literal = rq.liouville_redundancy(
+            system, gains, AnalyticStart(), t, box=box, paper_literal_jacobian=True
         )
-        masses = report.provenance["raw_masses"]
-        # nominal loop has trace -3 but the plant trace is +1: the literal
-        # density integrates to e^{(trace(A_cl) - trace(A)) t} = e^{-2}
-        assert masses[0] == pytest.approx(np.exp(-2.0), rel=1e-3)
+        assert literal.method == "grid"
+        assert literal.provenance["paper_literal_jacobian"] is True
+        assert literal.provenance["raw_masses"] == pytest.approx(
+            np.array(plain.provenance["raw_masses"]) * drift, rel=1e-12
+        )
+        assert literal.r == plain.r
 
 
 class TestEpsilonSweep:
