@@ -122,6 +122,13 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _distinct(values: list[float], field: str) -> list[float]:
+    # a sweep row per value: a repeated value is a configuration error
+    if len(set(values)) < len(values):
+        _fail(field, "entries must be distinct")
+    return values
+
+
 def _integer(value, field: str, lo: int, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(field, "expected an integer")
@@ -222,7 +229,7 @@ def _parse_epsilon(raw):
     if isinstance(raw, list):
         if not raw:
             _fail("epsilon", "list must be nonempty")
-        return [one(v, "epsilon") for v in raw]
+        return _distinct([one(v, "epsilon") for v in raw], "epsilon")
     return one(raw, "epsilon")
 
 
@@ -294,7 +301,7 @@ def parse_config(path) -> ProblemSpec:
     if t_list is not None:
         if not isinstance(t_list, list) or not t_list:
             _fail("t_list", "expected a nonempty list of times")
-        t_list = [_number(v, "t_list") for v in t_list]
+        t_list = _distinct([_number(v, "t_list") for v in t_list], "t_list")
         if any(v < 0.0 for v in t_list):
             _fail("t_list", "entries must be nonnegative")
 
@@ -442,7 +449,7 @@ def run_command(
             report = verify_reliable(sys_, spec.gains)
             outputs = {
                 "method": "closed_form",
-                "reliability": reporting.reliability_to_dict(report),
+                "reliability": report,
             }
             if not report.reliable:
                 print(
@@ -455,7 +462,7 @@ def run_command(
             outputs = {
                 "method": "closed_form",
                 "gains": [Ki.tolist() for Ki in gains.K],
-                "reliability": reporting.reliability_to_dict(report),
+                "reliability": report,
             }
         elif cmd == "redundancy":
             eps = _require_scalar_epsilon(spec)
@@ -477,7 +484,7 @@ def run_command(
             outputs = {
                 "method": method,
                 "gains_source": source,
-                "redundancy": reporting.redundancy_to_dict(result),
+                "redundancy": result,
             }
         elif cmd == "sweep-eps":
             gains, source = _resolve_gains(spec)
@@ -606,9 +613,7 @@ def run_command(
         "wall_clock_seconds": time.perf_counter() - started,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    reporting.write_text_atomic(
-        out_dir / "meta.json", reporting.dumps_canonical(reporting.sanitize(meta)) + "\n"
-    )
+    reporting.write_text_atomic(out_dir / "meta.json", reporting.dumps_canonical(meta) + "\n")
     return exit_code
 
 

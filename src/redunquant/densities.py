@@ -68,10 +68,6 @@ class Box:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_widths))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
     def centers(self, axis: int) -> np.ndarray:
         h = self.cell_widths[axis]
         return self.lo[axis] + (np.arange(self.n[axis]) + 0.5) * h

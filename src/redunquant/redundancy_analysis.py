@@ -26,6 +26,7 @@ from .errors import DimensionError, DomainError, NotReliableError
 from .info_measures import gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
 from .liouville_flow import (
     GeneralDensity,
+    _check_time,
     default_transport_box,
     pushforward_gaussian,
     transported_pdf,
@@ -324,9 +325,7 @@ def liouville_redundancy(
     """
     normalization = _check_normalization(avg_normalization)
     _require_reliable(sys, gains)
-    t = float(t)
-    if not (np.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be a finite nonnegative real, got {t!r}")
+    t = _check_time(t)
     n = sys.n_channels
     drift = None
     if paper_literal_jacobian:

@@ -1,15 +1,19 @@
 """Deterministic report serialization.
 
-Reports are JSON with sorted keys and a fixed 17-significant-digit float
-rendering, so identical inputs produce byte-identical files. Non-finite
-values never appear as bare JSON numbers: they are converted to the
-tagged sentinel strings "inf", "-inf" and "nan" before serialization
-(infinite KL in particular is a reportable event, not a silent large
-float). Files are written atomically (temp file + rename).
+Reports are ``json.dumps`` output with sorted keys and a two-space indent.
+Floats are written in Python's shortest round-trip form, which is exact
+and deterministic: identical inputs produce byte-identical files, an
+integral float keeps its ``.0`` and -0.0 keeps its sign. Result
+dataclasses go in as the dict of their fields. Non-finite values never
+appear as bare JSON numbers: they are converted to the tagged sentinel
+strings "inf", "-inf" and "nan" before serialization (infinite KL in
+particular is a reportable event, not a silent large float). Files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,8 +23,7 @@ import tempfile
 import numpy as np
 
 from .errors import IoError
-from .redundancy_analysis import RedundancyReport, SweepTable
-from .reliable_gains import ReliabilityReport
+from .redundancy_analysis import SweepTable
 
 SCHEMA_VERSION = "1"
 TOOL_NAME = "redunquant"
@@ -28,7 +31,12 @@ TOOL_VERSION = "0.1.0"
 
 
 def sanitize(obj):
-    """Reduce a report value tree to plain JSON-serializable types."""
+    """Reduce a report value tree to plain JSON-serializable types.
+
+    A dataclass instance becomes the dict of its fields.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         out = {}
         for key, value in obj.items():
@@ -56,40 +64,9 @@ def sanitize(obj):
     raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit rendering (round-trips float64 exactly)."""
-    return format(float(value), ".17g")
-
-
-def dumps_canonical(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    child = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{child}{json.dumps(key)}: {dumps_canonical(obj[key], indent + 1)}"
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        parts = [f"{child}{dumps_canonical(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise TypeError("non-finite float reached the serializer; sanitize first")
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
+def dumps_canonical(obj) -> str:
+    """Sorted-key, two-space-indented JSON with shortest round-trip floats."""
+    return json.dumps(sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -111,7 +88,7 @@ def write_text_atomic(path, text: str) -> None:
 
 def emit_report(report: dict, path) -> None:
     """Write a report to ``path`` as canonical JSON."""
-    write_text_atomic(path, dumps_canonical(sanitize(report)) + "\n")
+    write_text_atomic(path, dumps_canonical(report) + "\n")
 
 
 def parse_report(path) -> dict:
@@ -125,7 +102,7 @@ def parse_report(path) -> dict:
 
 
 def inputs_digest(raw_config: dict) -> str:
-    canonical = dumps_canonical(sanitize(raw_config))
+    canonical = dumps_canonical(raw_config)
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -140,48 +117,14 @@ def build_report(command: str, options: dict, digest: str, outputs: dict) -> dic
     }
 
 
-# --- converters from result dataclasses to plain report dictionaries ------
-
-
-def reliability_to_dict(report: ReliabilityReport) -> dict:
-    return {
-        "abscissae": report.abscissae.tolist(),
-        "margin": report.margin,
-        "reliable": report.reliable,
-    }
-
-
-def redundancy_to_dict(report: RedundancyReport) -> dict:
-    return {
-        "epsilon": report.epsilon,
-        "t": report.t,
-        "kl_per_channel": list(report.kl_per_channel),
-        "avg_term": report.avg_term,
-        "entropy_term": report.entropy_term,
-        "r": report.r,
-        "method": report.method,
-        "normalization": report.normalization,
-        "provenance": report.provenance,
-    }
-
-
 def sweep_to_dict(table: SweepTable) -> dict:
     return {
         "parameter": table.parameter,
-        "values": list(table.values),
-        "rows": [redundancy_to_dict(rep) for rep in table.reports],
-        "pair_annotations": list(table.pair_annotations),
+        "values": table.values,
+        "rows": table.reports,
+        "pair_annotations": table.pair_annotations,
         "notes": table.notes,
     }
-
-
-def _csv_number(value) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format_float(value)
 
 
 def sweep_csv(table: SweepTable) -> str:
@@ -193,5 +136,5 @@ def sweep_csv(table: SweepTable) -> str:
     lines = [",".join(header)]
     for value, rep in zip(table.values, table.reports):
         cells = [value, rep.r, rep.avg_term, rep.entropy_term, *rep.kl_per_channel]
-        lines.append(",".join(_csv_number(cell) for cell in cells))
+        lines.append(",".join(str(sanitize(float(cell))) for cell in cells))
     return "\n".join(lines) + "\n"

@@ -545,8 +545,6 @@ def _assemble_fv_operator(
     import scipy.sparse  # only the grid route needs it
 
     d = box.dim
-    if d > 2:
-        raise DimensionError("grid solver supports d in {1, 2}")
     shape = tuple(int(v) for v in box.n)
     h = box.cell_widths
     half_eps2 = 0.5 * eps**2

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redunquant import reporting
+from redunquant import reporting, systemic_redundancy, verify_reliable
 from redunquant.cli import main, parse_config, run_command
 from redunquant.errors import ConfigSyntaxError, ConfigValidationError
 
@@ -342,9 +342,29 @@ class TestReportDeterminism:
         out = reporting.sanitize({"kl": math.inf, "bad": math.nan, "neg": -math.inf})
         assert out == {"kl": "inf", "bad": "nan", "neg": "-inf"}
 
-    def test_17_digit_rendering(self):
-        assert reporting.format_float(0.1) == "0.10000000000000001"
-        assert float(reporting.format_float(math.pi)) == math.pi
+    def test_shortest_round_trip_rendering(self):
+        assert reporting.dumps_canonical([0.1, -3.0]) == "[\n  0.1,\n  -3.0\n]"
+
+    def test_floats_round_trip_as_floats(self, tmp_path):
+        values = [1.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        path = tmp_path / "r.json"
+        reporting.emit_report({"values": values}, path)
+        back = reporting.parse_report(path)["values"]
+        assert all(type(v) is float for v in back)
+        assert back == values
+        assert [math.copysign(1.0, v) for v in back] == [math.copysign(1.0, v) for v in values]
+
+    def test_result_dataclasses_become_field_dicts(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        reliability = reporting.sanitize(verify_reliable(system, gains))
+        assert reliability == {"abscissae": [-3.0, -1.0, -1.0], "margin": 1.0, "reliable": True}
+        redundancy = reporting.sanitize(systemic_redundancy(system, gains, 0.1))
+        assert set(redundancy) == {
+            "epsilon", "t", "kl_per_channel", "avg_term", "entropy_term",
+            "r", "method", "normalization", "provenance",
+        }
+        assert isinstance(redundancy["kl_per_channel"], list)
+        assert isinstance(redundancy["provenance"], dict)
 
 
 class TestMainEntryPoint:
@@ -535,6 +555,23 @@ class TestExitCodes:
         code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, field",
+        [
+            (["sweep-time"], {"t_list": [1.0, 1.0]}, "t_list"),
+            (["sweep-eps"], {"epsilon": [0.1, 0.1]}, "epsilon"),
+        ],
+        ids=["sweep_time", "sweep_eps"],
+    )
+    def test_repeated_sweep_value_exit1(self, tmp_path, argv, config, field, capsys):
+        # one sweep row per value: a repeat is a configuration error, not a numerical one
+        payload = dict(SCALAR_CONFIG, **config)
+        out = tmp_path / "new"
+        code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert f"error: config field '{field}': entries must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exit0(self, capsys):

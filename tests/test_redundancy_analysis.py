@@ -244,6 +244,25 @@ class TestLiouvilleRedundancy:
         assert literal.r == plain.r
 
 
+    @pytest.mark.parametrize("literal", [False, True], ids=["plain", "literal"])
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_invalid_time_rejected(self, scalar_two_channel, t, literal):
+        system, gains = scalar_two_channel
+        rho0 = rq.GaussianDensity([0.0], [[1.0]])
+        with pytest.raises(DomainError, match="time must be"):
+            rq.liouville_redundancy(system, gains, rho0, t, paper_literal_jacobian=literal)
+
+    def test_infinite_time_rejected_before_zero_trace_drift(self):
+        # every loop keeps trace(A): the literal drift would be inf * 0
+        system = rq.MultiChannelSystem(
+            np.diag([-1.0, -1.0]), [[[0.0], [1.0]]], rq.ConstantDiffusion(np.eye(2))
+        )
+        gains = rq.GainSet([[[1.0, 0.0]]])
+        rho0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
+        with pytest.raises(DomainError, match="time must be"):
+            rq.liouville_redundancy(system, gains, rho0, math.inf, paper_literal_jacobian=True)
+
+
 class TestEpsilonSweep:
     def test_scaling_law_exact(self, scalar_two_channel):
         system, gains = scalar_two_channel
