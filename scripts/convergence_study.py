@@ -7,7 +7,11 @@ fluxes are exact for linear drift in 1-D), and Monte Carlo histogram
 error versus path count. Two grid studies on eccentric, rotated d=2 loops
 (A = R diag(-1, -k) R^T, eps = 0.1): the L1 error at 51^2, 101^2 and
 201^2 on one plant with diagonal S, and how many of 40 plants with a full
-S (central cross-diffusion terms) still fail at 101^2. A last one
+S (central cross-diffusion terms) still fail at 101^2 in the x-frame
+solver. For the same 40 plants, the grid redundancy through
+``systemic_redundancy``, which solves in the eigenbasis of S S^T: its
+failure count and its error against the closed form at 101^2 and 201^2.
+A last one
 compares the Monte Carlo redundancy of the scalar two-channel system
 (eps = 0.1) with its closed form over 8 seeds, in units of the reported
 batch-means standard error: at 2k paths expect a positive mean, since
@@ -98,6 +102,24 @@ def main():
         except NumericalError:
             failed.append(seed)
     print(f"\nfull-S eccentric plants failing at 101^2: {len(failed)}/40 (seeds {failed})")
+
+    lines = ["n_cells,seed,r_grid,r_closed,abs_error"]
+    print("\nfull-S eccentric plants, r through systemic_redundancy (grid in the eigenbasis of S S^T):")
+    for n in (101, 201):
+        failed, errors = [], []
+        for seed in range(40):
+            ecc_system, ecc_gains = eccentric_plant(seed, diagonal=False)
+            r_closed = rq.systemic_redundancy(ecc_system, ecc_gains, 0.1).r
+            try:
+                r_grid = rq.systemic_redundancy(ecc_system, ecc_gains, 0.1, "grid", grid_cells=n).r
+            except NumericalError:
+                failed.append(seed)
+                continue
+            errors.append(abs(r_grid - r_closed))
+            lines.append(f"{n},{seed},{r_grid:.6e},{r_closed:.6e},{errors[-1]:.6e}")
+        print(f"  n={n:3d}^2  failing: {len(failed)}/40 (seeds {failed})  "
+              f"|r_grid - r_closed| median={np.median(errors):.2e} max={np.max(errors):.2e} bits")
+    (args.out / "grid_r_full_s.csv").write_text("\n".join(lines) + "\n")
 
     sizes = (2_000, 8_000, 32_000) if args.quick else (5_000, 20_000, 80_000, 200_000)
     lines = ["n_paths,var_rel_error,hist_l1"]

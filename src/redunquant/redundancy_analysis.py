@@ -16,6 +16,7 @@ The printed 1/(2N) normalization is the default; ``avg_normalization =
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -156,6 +157,19 @@ def systemic_redundancy(
     standard errors of each KL, the entropy and r over 10 fixed path
     shards. Those cover sampling noise only, not histogram bias; below 20
     paths they are nan.
+
+    The grid route solves all N+1 laws on one box with ``grid_cells`` per
+    axis. When sigma is constant and S S^T has a nonzero off-diagonal
+    entry, it solves them in y = U^T x, where S S^T = U diag(lam) U^T
+    (``numpy.linalg.eigh``): there the diffusion is diagonal, so the
+    operator is the five-point M-matrix of diagonal noise, with a positive
+    null vector, instead of a nine-point one with central cross terms. r
+    is the same number in either frame. A configured ``grid_box`` is read
+    in x and replaced by the bounding box of its rotated corners, with the
+    same cell counts; ``grid_lo``/``grid_hi`` then describe that y box, and
+    provenance records ``grid_frame`` = U^T (y = grid_frame @ x). d = 1, a
+    diagonal S S^T and diag_affine noise stay in x and write no
+    ``grid_frame``.
     """
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}")
@@ -204,6 +218,12 @@ def systemic_redundancy(
     # grid: one shared box so densities are directly comparable
     if sys.d not in (1, 2):
         raise DimensionError("grid redundancy supports d in {1, 2}")
+    frame = _diffusion_frame(sys, gains)
+    if frame is not None:
+        U, sys, gains = frame
+        if grid_box is not None:  # bounding box of the rotated x-frame box
+            corners = np.array(list(itertools.product(*zip(grid_box.lo, grid_box.hi)))) @ U
+            grid_box = Box(corners.min(axis=0), corners.max(axis=0), grid_box.n)
     if grid_box is None:
         boxes = [
             default_stationary_box(sys, gains, j, eps, n_cells=grid_cells)
@@ -228,7 +248,25 @@ def systemic_redundancy(
         "grid_cells": grid_box.n.tolist(),
         "kl_mass_below_resolution": dropped,
     }
+    if frame is not None:
+        prov["grid_frame"] = U.T.tolist()
     return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
+
+
+def _diffusion_frame(sys: MultiChannelSystem, gains: GainSet):
+    """Eigenvectors U of a constant S S^T with a nonzero off-diagonal entry,
+    and the system and gains in y = U^T x (A -> U^T A U, B_i -> U^T B_i,
+    K_i -> K_i U, S -> diag(sqrt(lam))); None for any other sigma."""
+    if not isinstance(sys.sigma, ConstantDiffusion):
+        return None
+    D = sys.sigma.diffusion_matrix()
+    if not np.any(D - np.diag(np.diag(D))):
+        return None
+    lam, U = np.linalg.eigh(D)
+    rotated = MultiChannelSystem(
+        U.T @ sys.A @ U, [U.T @ B for B in sys.B], ConstantDiffusion(np.diag(np.sqrt(lam)))
+    )
+    return U, rotated, GainSet([K @ U for K in gains.K])
 
 
 #: Pseudo-count per cell of the Monte Carlo route's reference histogram.
@@ -322,6 +360,8 @@ def liouville_redundancy(
     Jacobian exp(-trace(A) t) only rescales mode j by exp((trace(A_j) -
     trace(A)) t), so r_t does not depend on ``paper_literal_jacobian``;
     the flag records that factor as ``raw_masses`` (times the grid mass).
+    On the Gaussian path, a time at which a pushforward covariance has
+    underflowed gives infinite KL terms and r = inf.
     """
     normalization = _check_normalization(avg_normalization)
     _require_reliable(sys, gains)
@@ -333,9 +373,12 @@ def liouville_redundancy(
         drift = np.exp((traces - np.trace(sys.A)) * t).tolist()
 
     if isinstance(rho0, GaussianDensity):
-        flows = [pushforward_gaussian(sys, gains, j, rho0, t) for j in range(n + 1)]
-        kls = [gaussian_kl(flows[i], flows[0]) for i in range(1, n + 1)]
-        entropy_term = gaussian_entropy(flows[0])
+        flows = [_pushforward_or_none(sys, gains, j, rho0, t) for j in range(n + 1)]
+        kls = [
+            math.inf if None in (flows[i], flows[0]) else gaussian_kl(flows[i], flows[0])
+            for i in range(1, n + 1)
+        ]
+        entropy_term = -math.inf if flows[0] is None else gaussian_entropy(flows[0])
         prov = {"t": t}
         if drift is not None:
             prov.update(paper_literal_jacobian=True, raw_masses=drift)
@@ -375,6 +418,16 @@ def liouville_redundancy(
         "grid_cells": box.n.tolist(),
     }
     return _assemble_report(kls, entropy_term, "grid", normalization, t=t, provenance=prov)
+
+
+def _pushforward_or_none(sys, gains, mode, rho0, t) -> GaussianDensity | None:
+    """Exact pushforward of mode ``mode``, or None once its covariance has
+    underflowed (it is no longer positive definite in floating point); the
+    terms that involve it are then infinite, and so is r."""
+    try:
+        return pushforward_gaussian(sys, gains, mode, rho0, t)
+    except DomainError:
+        return None
 
 
 def _sorted_strictly(values, name: str) -> list[float]:

@@ -657,7 +657,10 @@ def solve_stationary_fp_grid(
     k in [5, 40], eps = 0.1) solve at 101^2, median L1 error 1.0e-3 to the
     exact law. A full S S^T adds central cross-diffusion terms, which can
     still drive entries negative: 23 of the same 40 plants with a full S
-    raise NumericalError at 101^2 and 10 at 201^2.
+    raise NumericalError at 101^2 and 10 at 201^2. This solver stays in
+    the x frame; for r with a full S use ``systemic_redundancy(...,
+    "grid")``, which solves in the eigenbasis of S S^T, where the
+    diffusion is diagonal (0 of those 40 fail at 101^2 or 201^2).
     """
     if sys.d not in (1, 2):
         raise DimensionError("grid solver supports d in {1, 2}")

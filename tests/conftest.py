@@ -48,3 +48,19 @@ def random_hurwitz(rng: np.random.Generator, d: int, margin: float = 0.5) -> np.
     """Random matrix shifted left until its spectral abscissa is <= -margin."""
     M = rng.uniform(-2.0, 2.0, (d, d))
     return M - (rq.spectral_abscissa(M) + margin) * np.eye(d)
+
+
+def eccentric_plant(seed: int, diagonal: bool = True):
+    """d=2 loop dx = A x dt + eps S dW with A = R diag(-1, -k) R^T, k in
+    [5, 40], R a random rotation, and S (the diagonal of) chol(W W^T + 0.3 I)."""
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(5.0, 40.0)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    W = rng.uniform(-1.0, 1.0, (2, 2))
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    S = np.linalg.cholesky(W @ W.T + 0.3 * np.eye(2))
+    if diagonal:
+        S = np.diag(np.diag(S))
+    A = R @ np.diag([-1.0, -k]) @ R.T
+    system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
+    return system, rq.GainSet([np.zeros((1, 2))])

@@ -28,6 +28,16 @@ DIAG_AFFINE_CONFIG = {
     "system": dict(SCALAR_CONFIG["system"], sigma={"type": "diag_affine", "c": [1.0], "s": [0.5]})
 }
 
+FULL_S_PLANE_CONFIG = {
+    "system": {
+        "A": [[-0.5, 0.4], [-0.3, -0.6]],
+        "B": [[[1.0], [0.0]], [[0.0], [1.0]]],
+        "sigma": {"type": "constant", "S": [[1.0, 0.0], [0.5, 0.8]]},
+    },
+    "gains": [[[-1.0, 0.0]], [[0.0, -1.0]]],
+    "epsilon": 0.3,
+}
+
 D3_CONFIG = {
     "system": {
         "A": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
@@ -245,6 +255,18 @@ class TestRunCommand:
         assert rows[0]["r"] == pytest.approx(-2.0471, abs=1e-3)
         assert rows[1]["r"] == pytest.approx(1.7000, abs=1e-3)
 
+    def test_sweep_time_underflowed_flow_gives_inf_row(self, tmp_path):
+        # the nominal pushforward variance e^{-6t} underflows to 0 by t = 150
+        payload = dict(json.loads(BUNDLED_CONFIG.read_text()), t_list=[1.0, 120.0, 150.0])
+        spec = parse_config(write_config(tmp_path, payload))
+        out = tmp_path / "out"
+        assert run_command("sweep-time", spec, out) == 0
+        rows = reporting.parse_report(out / "report.json")["outputs"]["sweep"]["rows"]
+        assert rows[1]["r"] == pytest.approx(1.0434e208, rel=1e-3)
+        assert rows[2]["r"] == "inf"
+        assert rows[2]["kl_per_channel"] == ["inf", "inf"]
+        assert (out / "sweep.csv").read_text().splitlines()[3].startswith("150.0,inf,inf,")
+
     def test_simulate_writes_moments(self, tmp_path):
         payload = dict(SCALAR_CONFIG)
         payload["sim"] = {"n_paths": 2000, "horizon": 5.0, "dt": 1e-2}
@@ -418,6 +440,21 @@ class TestMainEntryPoint:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         report = reporting.parse_report(outs[0] / "report.json")
         assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "exact_endpoint"
+
+    def test_rotated_grid_redundancy_byte_identical_runs(self, tmp_path):
+        config = write_config(tmp_path, FULL_S_PLANE_CONFIG)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            result = self.run_cli(
+                "redundancy", "--config", str(config), "--out", str(out), "--method", "grid"
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out)
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        report = reporting.parse_report(outs[0] / "report.json")
+        frame = report["outputs"]["redundancy"]["provenance"]["grid_frame"]
+        assert np.array(frame) @ np.array(frame).T == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_numpy_only_commands_do_not_import_scipy(self, tmp_path):
         # one fresh interpreter: importing scipy.linalg costs about half of a

@@ -5,8 +5,10 @@ import pytest
 
 import redunquant as rq
 from redunquant.errors import DomainError, NotReliableError, UnsupportedDiffusionError
+from redunquant.info_measures import grid_entropy
+from redunquant.redundancy_analysis import _solver_kl
 
-from .conftest import random_system
+from .conftest import eccentric_plant, random_system
 from .oracles import entropy_quad_bits, kl_quad_bits, normal_pdf
 
 # closed-form values for the scalar two-channel configuration
@@ -156,6 +158,91 @@ class TestSystemicRedundancy:
             assert all(math.isfinite(k) and k >= 0.0 for k in report.kl_per_channel)
 
 
+def _full_s_plane():
+    """d=2, two unit channels, S S^T with a nonzero off-diagonal entry."""
+    system = rq.MultiChannelSystem(
+        [[-0.5, 0.4], [-0.3, -0.6]],
+        [[[1.0], [0.0]], [[0.0], [1.0]]],
+        rq.ConstantDiffusion([[1.0, 0.0], [0.5, 0.8]]),
+    )
+    return system, rq.GainSet([[[-1.0, 0.0]], [[0.0, -1.0]]])
+
+
+class TestGridFrame:
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_eccentric_rotated_plant_full_noise(self, seed):
+        # a full S S^T gives the x-frame operator central cross-diffusion
+        # terms, and these plants' densities go negative there at 101^2; in
+        # the eigenbasis of S S^T the operator is an M-matrix
+        system, gains = eccentric_plant(seed, diagonal=False)
+        grid = rq.systemic_redundancy(system, gains, 0.1, "grid")
+        assert grid.provenance["grid_cells"] == [101, 101]
+        assert "grid_frame" in grid.provenance
+        assert grid.r == pytest.approx(rq.systemic_redundancy(system, gains, 0.1).r, abs=0.05)
+
+    def test_frame_is_the_eigenbasis_of_the_diffusion(self):
+        system, gains = _full_s_plane()
+        frame = np.array(rq.systemic_redundancy(system, gains, 0.3, "grid").provenance["grid_frame"])
+        assert frame @ frame.T == pytest.approx(np.eye(2), abs=1e-12)
+        D = frame @ system.sigma.diffusion_matrix() @ frame.T
+        assert abs(D[0, 1]) <= 1e-12 * np.abs(D).max()
+
+    @pytest.mark.parametrize(
+        "system, gains, eps",
+        [
+            (*eccentric_plant(4), 0.1),  # diagonal S; eigh would swap its axes
+            (
+                rq.MultiChannelSystem(
+                    eccentric_plant(4)[0].A, [np.zeros((2, 1))],
+                    rq.DiagAffineDiffusion([0.7, 1.3], [0.5, 2.0]),
+                ),
+                rq.GainSet([np.zeros((1, 2))]),
+                0.3,
+            ),
+            (
+                rq.MultiChannelSystem([[1.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]])),
+                rq.GainSet([[[-2.0]], [[-2.0]]]),
+                0.1,
+            ),
+        ],
+        ids=["diagonal_S", "diag_affine", "d1"],
+    )
+    def test_diagonal_diffusion_stays_in_x(self, system, gains, eps):
+        report = rq.systemic_redundancy(system, gains, eps, "grid", grid_cells=41)
+        assert "grid_frame" not in report.provenance
+        prov = report.provenance
+        box = rq.Box(prov["grid_lo"], prov["grid_hi"], prov["grid_cells"])
+        laws = [
+            rq.solve_stationary_fp_grid(system, gains, j, eps, box=box)
+            for j in range(system.n_channels + 1)
+        ]
+        kls = tuple(_solver_kl(q, laws[0])[0] for q in laws[1:])
+        assert report.kl_per_channel == kls
+        assert report.entropy_term == grid_entropy(laws[0])
+
+    def test_configured_box_maps_to_bounding_box_of_rotated_corners(self):
+        system, gains = _full_s_plane()
+        lo, hi = np.array([-1.0, -0.5]), np.array([1.5, 0.8])
+        prov = rq.systemic_redundancy(
+            system, gains, 0.1, "grid", grid_box=rq.Box(lo, hi, [41, 37])
+        ).provenance
+        corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+        y = corners @ np.array(prov["grid_frame"]).T
+        assert prov["grid_cells"] == [41, 37]
+        assert np.all(y >= prov["grid_lo"]) and np.all(y <= prov["grid_hi"])
+        assert y.min(axis=0).tolist() == prov["grid_lo"]
+        assert y.max(axis=0).tolist() == prov["grid_hi"]
+
+    def test_epsilon_sweep_matches_closed_form_per_row(self):
+        system, gains = _full_s_plane()
+        grid = rq.epsilon_sweep(system, gains, [0.1, 0.3], "grid")
+        closed = rq.epsilon_sweep(system, gains, [0.1, 0.3])
+        for g, c in zip(grid.reports, closed.reports):
+            assert "grid_frame" in g.provenance
+            assert g.kl_per_channel == pytest.approx(c.kl_per_channel, abs=1e-2)
+            assert g.r == pytest.approx(c.r, abs=1e-2)
+
+
 class TestLiouvilleRedundancy:
     def test_t0_equals_negative_entropy(self, scalar_two_channel):
         system, gains = scalar_two_channel
@@ -243,6 +330,18 @@ class TestLiouvilleRedundancy:
         )
         assert literal.r == plain.r
 
+
+    def test_underflowed_pushforward_gives_infinite_r(self, scalar_two_channel):
+        # the nominal pushforward variance e^{-6t} is subnormal at t = 120
+        # and 0.0 at t = 150
+        system, gains = scalar_two_channel
+        rho0 = rq.GaussianDensity([0.0], [[1.0]])
+        late = rq.liouville_redundancy(system, gains, rho0, 120.0)
+        assert late.r == pytest.approx(1.0434e208, rel=1e-3)
+        gone = rq.liouville_redundancy(system, gains, rho0, 150.0)
+        assert gone.kl_per_channel == (math.inf, math.inf)
+        assert gone.entropy_term == -math.inf
+        assert gone.r == math.inf
 
     @pytest.mark.parametrize("literal", [False, True], ids=["plain", "literal"])
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])

@@ -22,7 +22,7 @@ from redunquant.stochastic_engine import (
     smoothed_empirical_density,
 )
 
-from .conftest import random_hurwitz
+from .conftest import eccentric_plant, random_hurwitz
 from .oracles import (
     euler_endpoint_cov_reference,
     euler_stepped_reference,
@@ -42,22 +42,6 @@ def _no_leaked_threads():
 def _discretized(g: rq.GaussianDensity, box: rq.Box) -> rq.GridDensity:
     values = g.pdf(box.center_points()).reshape(tuple(box.n))
     return rq.GridDensity.from_unnormalized(box, values)
-
-
-def _eccentric_plant(seed: int, diagonal: bool = True):
-    """d=2 loop dx = A x dt + eps S dW with A = R diag(-1, -k) R^T, k in
-    [5, 40], R a random rotation, and S (the diagonal of) chol(W W^T + 0.3 I)."""
-    rng = np.random.default_rng(seed)
-    k = rng.uniform(5.0, 40.0)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    W = rng.uniform(-1.0, 1.0, (2, 2))
-    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    S = np.linalg.cholesky(W @ W.T + 0.3 * np.eye(2))
-    if diagonal:
-        S = np.diag(np.diag(S))
-    A = R @ np.diag([-1.0, -k]) @ R.T
-    system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
-    return system, rq.GainSet([np.zeros((1, 2))])
 
 
 class TestStationaryGaussian:
@@ -88,7 +72,7 @@ class TestStationaryGaussian:
 
     def test_eps_squared_scaling(self):
         rng = np.random.default_rng(12)
-        from .conftest import random_hurwitz
+        from .conftest import eccentric_plant, random_hurwitz
 
         A = random_hurwitz(rng, 3)
         system = rq.MultiChannelSystem(
@@ -101,7 +85,7 @@ class TestStationaryGaussian:
             np.testing.assert_allclose(law.cov, eps**2 * base.cov, rtol=1e-13)
 
     def test_matches_reference_solver(self):
-        from .conftest import random_hurwitz
+        from .conftest import eccentric_plant, random_hurwitz
 
         rng = np.random.default_rng(77)
         A = random_hurwitz(rng, 2)
@@ -442,7 +426,7 @@ class TestFpResidual:
             rq.fp_residual(law, system, gains, 0, 1.0, rq.Box([-3.0], [3.0], [2]))
 
     def test_2d_exact_density(self):
-        from .conftest import random_hurwitz
+        from .conftest import eccentric_plant, random_hurwitz
 
         rng = np.random.default_rng(3)
         A = random_hurwitz(rng, 2)
@@ -552,7 +536,7 @@ class TestGridSolver:
     def test_eccentric_rotated_plant_diagonal_noise(self, seed):
         # cell Peclet numbers reach ~42 on these plants at 101^2; a central
         # advective flux stays monotone only up to 2
-        system, gains = _eccentric_plant(seed)
+        system, gains = eccentric_plant(seed)
         solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1)
         assert tuple(solved.box.n) == (101, 101)
         exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), solved.box)
@@ -576,7 +560,7 @@ class TestGridSolver:
         ids=["constant", "diag_affine"],
     )
     def test_diagonal_diffusion_gives_m_matrix(self, sigma):
-        A = _eccentric_plant(4)[0].A
+        A = eccentric_plant(4)[0].A
         system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], sigma)
         box = rq.Box([-1.0, -1.5], [1.2, 1.5], [41, 37])
         L = _assemble_fv_operator(system, A, 0.3, box).toarray()
