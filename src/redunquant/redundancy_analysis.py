@@ -86,9 +86,23 @@ class SweepTable:
             raise DomainError("sweep parameter column must be strictly increasing")
 
 
-def _check_normalization(avg_normalization: str) -> str:
+def _verified(
+    sys: MultiChannelSystem, gains: GainSet, avg_normalization: str, method: str = "closed_form"
+) -> str:
+    """Check ``method`` and ``avg_normalization``, then take the one
+    reliability verdict that a call or a whole sweep needs (NotReliableError
+    when a failure mode has no stationary law); returns the normalization."""
+    if method not in METHODS:
+        raise DomainError(f"method must be one of {METHODS}")
     if avg_normalization not in NORMALIZATIONS:
         raise DomainError(f"avg_normalization must be one of {NORMALIZATIONS}")
+    report = verify_reliable(sys, gains)
+    if not report.reliable:
+        raise NotReliableError(
+            f"gain set is not reliable (margin {report.margin!r}); "
+            "stationary laws do not exist for every failure mode",
+            report=report,
+        )
     return avg_normalization
 
 
@@ -115,17 +129,6 @@ def _assemble_report(
         t=t,
         provenance=provenance or {},
     )
-
-
-def _require_reliable(sys: MultiChannelSystem, gains: GainSet):
-    report = verify_reliable(sys, gains)
-    if not report.reliable:
-        raise NotReliableError(
-            f"gain set is not reliable (margin {report.margin!r}); "
-            "stationary laws do not exist for every failure mode",
-            report=report,
-        )
-    return report
 
 
 def systemic_redundancy(
@@ -171,10 +174,29 @@ def systemic_redundancy(
     diagonal S S^T and diag_affine noise stay in x and write no
     ``grid_frame``.
     """
-    if method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}")
-    normalization = _check_normalization(avg_normalization)
-    _require_reliable(sys, gains)
+    normalization = _verified(sys, gains, avg_normalization, method)
+    return _stationary_redundancy(
+        sys, gains, eps, method, normalization, seed=seed, n_paths=n_paths, horizon=horizon,
+        dt=dt, hist_cells=hist_cells, grid_box=grid_box, grid_cells=grid_cells,
+    )
+
+
+def _stationary_redundancy(
+    sys: MultiChannelSystem,
+    gains: GainSet,
+    eps: float,
+    method: str,
+    normalization: str,
+    *,
+    seed: int = 42,
+    n_paths: int = 100_000,
+    horizon: float | None = None,
+    dt: float | None = None,
+    hist_cells: int = 64,
+    grid_box: Box | None = None,
+    grid_cells: int | None = None,
+) -> RedundancyReport:
+    """``systemic_redundancy`` after its checks and its reliability verdict."""
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be a positive real, got {eps!r}")
@@ -363,8 +385,23 @@ def liouville_redundancy(
     On the Gaussian path, a time at which a pushforward covariance has
     underflowed gives infinite KL terms and r = inf.
     """
-    normalization = _check_normalization(avg_normalization)
-    _require_reliable(sys, gains)
+    normalization = _verified(sys, gains, avg_normalization)
+    return _flow_redundancy(
+        sys, gains, rho0, t, normalization, paper_literal_jacobian, grid_cells, box
+    )
+
+
+def _flow_redundancy(
+    sys: MultiChannelSystem,
+    gains: GainSet,
+    rho0: GeneralDensity,
+    t: float,
+    normalization: str,
+    paper_literal_jacobian: bool,
+    grid_cells: int | None = None,
+    box: Box | None = None,
+) -> RedundancyReport:
+    """``liouville_redundancy`` after its checks and its reliability verdict."""
     t = _check_time(t)
     n = sys.n_channels
     drift = None
@@ -456,25 +493,22 @@ def epsilon_sweep(
     constant sigma each row is annotated with the implied unit-noise
     redundancy r + d log2(eps) (constant across rows exactly when the
     closed-form scaling law holds), and each adjacent pair records whether
-    the claimed nondecrease of r in eps holds on the data.
+    the claimed nondecrease of r in eps holds on the data. Reliability is
+    verified once per sweep, before the first row (NotReliableError); every
+    row is then the ``systemic_redundancy`` value at its eps, with the
+    row's seed ``derived_seed(seed, row)``.
     """
     ordered = _sorted_strictly(eps_list, "eps_list")
     if any(e <= 0.0 for e in ordered):
         raise DomainError("eps_list entries must be positive")
+    normalization = _verified(sys, gains, avg_normalization, method)
     constant = isinstance(sys.sigma, ConstantDiffusion)
-    reports = []
-    for row, eps in enumerate(ordered):
-        reports.append(
-            systemic_redundancy(
-                sys,
-                gains,
-                eps,
-                method,
-                seed=derived_seed(seed, row),
-                avg_normalization=avg_normalization,
-                **method_kwargs,
-            )
+    reports = [
+        _stationary_redundancy(
+            sys, gains, eps, method, normalization, seed=derived_seed(seed, row), **method_kwargs
         )
+        for row, eps in enumerate(ordered)
+    ]
     pairs = []
     for (e_a, rep_a), (e_b, rep_b) in zip(
         zip(ordered, reports), zip(ordered[1:], reports[1:])
@@ -528,27 +562,24 @@ def time_sweep(
 ) -> SweepTable:
     """Flow redundancy r_t across times, optionally compared against the
     stationary measure at a reference noise level; ``paper_literal_jacobian``
-    only adds each row's literal mass drift to its provenance."""
+    only adds each row's literal mass drift to its provenance.
+
+    Reliability is verified once per sweep, before the first row
+    (NotReliableError); every row, and the closed-form reference at
+    ``reference_eps`` (constant sigma only), is then the value
+    ``liouville_redundancy`` or ``systemic_redundancy`` would return.
+    """
     ordered = _sorted_strictly(t_list, "t_list")
     if ordered[0] < 0.0:
         raise DomainError("t_list entries must be nonnegative")
-    reports = []
-    for t in ordered:
-        reports.append(
-            liouville_redundancy(
-                sys,
-                gains,
-                rho0,
-                t,
-                paper_literal_jacobian=paper_literal_jacobian,
-                avg_normalization=avg_normalization,
-            )
-        )
+    normalization = _verified(sys, gains, avg_normalization)
+    reports = [
+        _flow_redundancy(sys, gains, rho0, t, normalization, paper_literal_jacobian)
+        for t in ordered
+    ]
     r_ref = None
     if reference_eps is not None and isinstance(sys.sigma, ConstantDiffusion):
-        r_ref = systemic_redundancy(
-            sys, gains, reference_eps, "closed_form", avg_normalization=avg_normalization
-        ).r
+        r_ref = _stationary_redundancy(sys, gains, reference_eps, "closed_form", normalization).r
     pairs = []
     for (t_a, rep_a), (t_b, rep_b) in zip(
         zip(ordered, reports), zip(ordered[1:], reports[1:])

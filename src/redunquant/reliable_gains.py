@@ -9,7 +9,10 @@ is not a certificate that no reliable gain set exists, except when the
 plant is not stabilizable at all, which is tested before the ladder. Each
 Riccati design is one ordered real Schur decomposition of the Hamiltonian
 (``solve_care_newton``, a name kept from the Newton-Kleinman iteration it
-replaced). Verification needs only numpy; ``scipy.linalg`` is imported
+replaced). On the ladder, the nominal loop A + B K of each rung is the
+Riccati closed loop A - G P, so the rung takes the Riccati stabilizing
+check from ``verify_reliable``'s nominal abscissa and computes that
+spectrum once. Verification needs only numpy; ``scipy.linalg`` is imported
 inside the two synthesis functions that call it, so that ``verify`` does
 not pay its ~0.3 s import.
 """
@@ -98,6 +101,17 @@ def solve_care_newton(
     scale, and A - G P is Hurwitz. The name predates the Schur method and
     is kept because callers and timing tools look the function up by it.
     """
+    P, G = _care_schur(A, B, R, Q, tol)
+    alpha = spectral_abscissa(A - G @ P)
+    if alpha >= 0.0:
+        raise NumericalError(
+            f"Riccati solution is not stabilizing: A - G P has abscissa {alpha!r}"
+        )
+    return P
+
+
+def _care_schur(A, B, R, Q, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_care_newton`` without its Hurwitz check of A - G P: (P, G)."""
     import scipy.linalg  # lazy; see the module docstring
 
     d = A.shape[0]
@@ -126,12 +140,7 @@ def solve_care_newton(
         raise NumericalError(
             f"Riccati residual {residual!r} exceeds tolerance {tol * scale!r}"
         )
-    alpha = spectral_abscissa(A - G @ P)
-    if alpha >= 0.0:
-        raise NumericalError(
-            f"Riccati solution is not stabilizing: A - G P has abscissa {alpha!r}"
-        )
-    return P
+    return P, G
 
 
 #: Relative tolerance of the stabilizability (PBH) rank test: about the
@@ -164,10 +173,12 @@ def synthesize_gains(
     For theta in {1, 2, 4, ..., theta_max} the stacked-input Riccati
     equation with R/theta is solved and the per-channel gains
     K_i = -theta R_i^{-1} B_i^T P are checked by verify_reliable; the
-    smallest passing theta wins. Higher theta means more aggressive
-    feedback, which tolerates channel outages more often. A plant that is
-    not stabilizable through all channels together fails before the
-    ladder, with the zero-gain report as its best report.
+    smallest passing theta wins. A rung whose nominal abscissa is >= 0
+    raises NumericalError: its Riccati solution is not stabilizing. Higher
+    theta means more aggressive feedback, which tolerates channel outages
+    more often. A plant that is not stabilizable through all channels
+    together fails before the ladder, with the zero-gain report as its
+    best report.
     """
     import scipy.linalg  # lazy; see the module docstring
 
@@ -204,10 +215,15 @@ def synthesize_gains(
     best_report: ReliabilityReport | None = None
     theta = 1.0
     while theta <= opts.theta_max * (1.0 + 1e-12):
-        P = solve_care_newton(sys.A, B_full, R_full / theta, Q)
+        P, _ = _care_schur(sys.A, B_full, R_full / theta, Q)
         K_full = -theta * np.linalg.solve(R_full, B_full.T @ P)
         gains = GainSet(np.split(K_full, splits, axis=0))
         report = verify_reliable(sys, gains)
+        if report.abscissae[0] >= 0.0:  # the nominal loop A + B K is A - G P
+            raise NumericalError(
+                "Riccati solution is not stabilizing: the nominal loop has "
+                f"abscissa {report.abscissae[0]!r}"
+            )
         if report.reliable and report.margin >= opts.margin_floor:
             return gains
         if best_report is None or report.margin > best_report.margin:

@@ -247,9 +247,19 @@ def matrix_exponential(M: np.ndarray, t: float) -> np.ndarray:
 def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve A_cl P + P A_cl^T + Q = 0 for symmetric PSD P.
 
-    Bartels-Stewart Schur method (scipy.linalg.solve_continuous_lyapunov),
-    O(d^3). Requires A_cl Hurwitz and Q symmetric PSD. The result is
-    symmetrized and checked against the residual bound
+    Bartels-Stewart (CACM 15:820-826, 1972) on one real Schur form
+    A_cl = Z T Z^T, O(d^3). LAPACK's T is standardized: each complex pair
+    sits in a 2x2 block whose two diagonal entries are its real part, so
+    the Hurwitz test reads the spectral abscissa off diag(T) and no
+    separate eigenvalue solve is made. LAPACK ``trsyl`` then solves
+    T Y + Y T^T = Z^T (-Q) Z and P = Z Y Z^T, in the operation order of
+    ``scipy.linalg.solve_continuous_lyapunov``, whose result this matches
+    bit for bit, except that a near-singular equation (two eigenvalues
+    summing to about machine precision times ||A_cl||, which trsyl
+    perturbs) raises NumericalError instead of returning a wrong P.
+    Requires finite entries (DomainError before any arithmetic), A_cl
+    Hurwitz and Q symmetric PSD. The result is symmetrized and checked
+    against the residual bound
     ||A P + P A^T + Q||_F <= 1e-10 (1 + ||Q||_F + ||A||_F ||P||_F).
     """
     A_cl = np.asarray(A_cl, dtype=float)
@@ -258,21 +268,31 @@ def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise DimensionError(f"A_cl must be square, got shape {A_cl.shape}")
     if Q.shape != A_cl.shape:
         raise DimensionError(f"Q shape {Q.shape} does not match A_cl shape {A_cl.shape}")
+    if not (np.all(np.isfinite(A_cl)) and np.all(np.isfinite(Q))):
+        raise DomainError("Lyapunov inputs must be finite")
     q_scale = max(1.0, float(np.abs(Q).max()))
     if float(np.abs(Q - Q.T).max()) > 1e-10 * q_scale:
         raise DomainError("Q must be symmetric")
     if float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) < -1e-10 * q_scale:
         raise DomainError("Q must be positive semidefinite")
-    alpha = spectral_abscissa(A_cl)
-    if alpha >= 0.0:
-        raise NotHurwitzError(f"A_cl has spectral abscissa {alpha!r} >= 0")
 
     import scipy.linalg  # lazy; see the module docstring
 
     try:
-        P = scipy.linalg.solve_continuous_lyapunov(A_cl, -Q)
+        T, Z = scipy.linalg.schur(A_cl, output="real")
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    alpha = float(np.diag(T).max())
+    if alpha >= 0.0:
+        raise NotHurwitzError(f"A_cl has spectral abscissa {alpha!r} >= 0")
+    Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T @ (-Q @ Z), tranb="T")
+    if info != 0:  # 1: trsyl perturbed a near-singular equation
+        raise NumericalError(
+            f"Lyapunov solve failed (trsyl info {info}): two eigenvalues of A_cl "
+            "sum to nearly zero, so the solution has no accurate digits"
+        )
+    Y *= scale
+    P = Z @ Y @ Z.T
     P = 0.5 * (P + P.T)
 
     residual = float(np.linalg.norm(A_cl @ P + P @ A_cl.T + Q, "fro"))
@@ -281,7 +301,7 @@ def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
         + float(np.linalg.norm(Q, "fro"))
         + float(np.linalg.norm(A_cl, "fro")) * float(np.linalg.norm(P, "fro"))
     )
-    if residual > bound:
+    if not residual <= bound:  # also rejects a non-finite P
         raise NumericalError(
             f"Lyapunov residual {residual!r} exceeds tolerance {bound!r}"
         )

@@ -442,3 +442,55 @@ class TestTimeSweep:
         flags = table.notes["claim_holds_per_row"]
         assert flags[0] is True  # r_0 < r_(sigma, 0.1)
         assert flags[2] is False  # the flow value overtakes the claim
+
+
+class TestOneVerdictPerSweep:
+    """A sweep verifies reliability once, then evaluates every row."""
+
+    EPS = [0.05, 0.1, 0.2, 0.4]
+    TIMES = [0.0, 0.5, 1.0, 2.0]
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        calls = []
+        verify = rq.redundancy_analysis.verify_reliable
+
+        def counting(sys, gains):
+            calls.append(gains)
+            return verify(sys, gains)
+
+        monkeypatch.setattr(rq.redundancy_analysis, "verify_reliable", counting)
+        return calls
+
+    def test_epsilon_sweep(self, scalar_two_channel, verdicts):
+        system, gains = scalar_two_channel
+        table = rq.epsilon_sweep(system, gains, self.EPS)
+        assert len(verdicts) == 1
+        for eps, report in zip(self.EPS, table.reports):
+            single = rq.systemic_redundancy(system, gains, eps)
+            assert (report.kl_per_channel, report.r) == (single.kl_per_channel, single.r)
+
+    @pytest.mark.parametrize("reference_eps", [None, 0.1])
+    def test_time_sweep(self, scalar_two_channel, verdicts, reference_eps):
+        system, gains = scalar_two_channel
+        rho0 = rq.GaussianDensity([0.0], [[1.0]])
+        table = rq.time_sweep(system, gains, rho0, self.TIMES, reference_eps=reference_eps)
+        assert len(verdicts) == 1
+        for t, report in zip(self.TIMES, table.reports):
+            single = rq.liouville_redundancy(system, gains, rho0, t)
+            assert (report.kl_per_channel, report.r) == (single.kl_per_channel, single.r)
+        if reference_eps is not None:
+            assert table.notes["r_reference"] == rq.systemic_redundancy(system, gains, 0.1).r
+
+    def test_unreliable_gains_raise_before_any_law(self, monkeypatch):
+        system = rq.MultiChannelSystem([[1.0]], [[[1.0]]], rq.ConstantDiffusion([[1.0]]))
+        stabilizing_only = rq.GainSet([[[-2.0]]])  # outage leaves A = 1 unstable
+        for name in ("stationary_gaussian", "pushforward_gaussian"):
+            monkeypatch.setattr(
+                rq.redundancy_analysis, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran")
+            )
+        with pytest.raises(NotReliableError):
+            rq.epsilon_sweep(system, stabilizing_only, self.EPS)
+        rho0 = rq.GaussianDensity([0.0], [[1.0]])
+        with pytest.raises(NotReliableError):
+            rq.time_sweep(system, stabilizing_only, rho0, self.TIMES, reference_eps=0.1)

@@ -152,15 +152,55 @@ class TestSynthesis:
     )
     def test_unstabilizable_plant_fails_before_ladder(self, A, B, monkeypatch):
         system = rq.MultiChannelSystem(A, B, rq.ConstantDiffusion(np.eye(len(A))))
-        monkeypatch.setattr(
-            rq.reliable_gains, "solve_care_newton", lambda *a, **k: pytest.fail("ladder ran")
-        )
+        for name in ("solve_care_newton", "_care_schur"):
+            monkeypatch.setattr(rq.reliable_gains, name, lambda *a, **k: pytest.fail("ladder ran"))
         with pytest.raises(SynthesisFailedError, match="not stabilizable") as err:
             rq.synthesize_gains(system)
         zero = rq.GainSet([np.zeros((1, len(A))) for _ in B])
         report = err.value.best_report
         np.testing.assert_array_equal(report.abscissae, rq.verify_reliable(system, zero).abscissae)
         assert report.abscissae[0] == pytest.approx(1.0)
+
+    def test_each_rung_computes_its_nominal_spectrum_once(self, monkeypatch):
+        # channel 2 has no authority, so the whole ladder (11 rungs) runs
+        system = rq.MultiChannelSystem(
+            [[1.0]], [[[1.0]], [[0.0]]], rq.ConstantDiffusion([[1.0]])
+        )
+        spectra, verdicts = [], []
+        abscissa, verify = rq.reliable_gains.spectral_abscissa, rq.reliable_gains.verify_reliable
+
+        def counting_abscissa(M):
+            spectra.append(M)
+            return abscissa(M)
+
+        def counting_verify(sys, gains):
+            verdicts.append(gains)
+            return verify(sys, gains)
+
+        monkeypatch.setattr(rq.reliable_gains, "spectral_abscissa", counting_abscissa)
+        monkeypatch.setattr(rq.reliable_gains, "verify_reliable", counting_verify)
+        with pytest.raises(SynthesisFailedError):
+            rq.synthesize_gains(system)
+        assert len(verdicts) == 11
+        assert len(spectra) == 3 * len(verdicts)  # the N+1 modes of each verdict
+
+    def test_non_stabilizing_rung_raises(self, monkeypatch):
+        system = rq.MultiChannelSystem(
+            [[1.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]])
+        )
+        # a Riccati "solution" P = 0 leaves the nominal loop at A = 1
+        monkeypatch.setattr(
+            rq.reliable_gains, "_care_schur", lambda A, B, R, Q: (np.zeros_like(A), B @ B.T)
+        )
+        with pytest.raises(NumericalError, match="not stabilizing"):
+            rq.synthesize_gains(system)
+
+    def test_public_riccati_solver_keeps_its_hurwitz_check(self, monkeypatch):
+        monkeypatch.setattr(
+            rq.reliable_gains, "_care_schur", lambda A, B, R, Q, tol: (np.zeros_like(A), B @ B.T)
+        )
+        with pytest.raises(NumericalError, match="not stabilizing"):
+            solve_care_newton(np.array([[1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))
 
     def test_uncontrollable_stable_mode_is_stabilizable(self):
         system = rq.MultiChannelSystem(

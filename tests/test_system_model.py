@@ -201,6 +201,56 @@ class TestLyapunov:
         assert residual <= bound
         np.testing.assert_allclose(P, lyapunov_reference(A_cl, Q), rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
+    def test_bit_identical_to_scipy_bartels_stewart(self, d):
+        import scipy.linalg
+
+        rng = seeded(d)
+        for _ in range(10):
+            A_cl = random_hurwitz(rng, d, margin=0.1)
+            W = rng.standard_normal((d, d))
+            Q = W @ W.T
+            expected = scipy.linalg.solve_continuous_lyapunov(A_cl, -Q)
+            np.testing.assert_array_equal(rq.solve_lyapunov(A_cl, Q), 0.5 * (expected + expected.T))
+
+    @pytest.mark.parametrize(
+        "A_cl",
+        [
+            [[0.0]],
+            [[0.0, 1.0], [-1.0, 0.0]],
+            [[0.0, 1.0], [0.0, 0.0]],
+            [[1e-3, 2.0, 0.0], [-2.0, 1e-3, 0.0], [0.0, 0.0, -1.0]],
+        ],
+        ids=["zero", "rotation", "jordan_block_at_0", "abscissa_1e-3"],
+    )
+    def test_abscissa_from_schur_diagonal_rejects_non_hurwitz(self, A_cl):
+        with pytest.raises(NotHurwitzError):
+            rq.solve_lyapunov(np.array(A_cl), np.eye(len(A_cl)))
+
+    @pytest.mark.parametrize(
+        "A_cl, Q",
+        [
+            ([[-1.0]], [[np.nan]]),
+            ([[-1.0]], [[np.inf]]),
+            ([[-1.0, np.nan], [0.0, -1.0]], np.eye(2)),
+        ],
+        ids=["Q_nan", "Q_inf", "A_nan"],
+    )
+    def test_non_finite_input_raises_domain_error(self, A_cl, Q):
+        with pytest.raises(DomainError, match="finite"):
+            rq.solve_lyapunov(np.array(A_cl), np.array(Q))
+
+    @pytest.mark.parametrize(
+        "A_cl",
+        [np.diag([-1e-17, -1.0]), np.array([[-1e-17, 1.0], [-1.0, -1e-17]])],
+        ids=["real", "complex_pair"],
+    )
+    def test_near_singular_equation_raises(self, A_cl):
+        # Hurwitz, but two eigenvalues sum to ~1e-17: trsyl perturbs the
+        # equation, and the perturbed P is not even positive definite
+        with pytest.raises(rq.NumericalError, match="trsyl"):
+            rq.solve_lyapunov(A_cl, np.eye(2))
+
     @given(seed=st.integers(0, 10_000), d=st.integers(1, 6))
     @settings(max_examples=30)
     def test_solution_symmetric_pd_for_pd_q(self, seed, d):
