@@ -80,6 +80,8 @@ _KNOWN_KEYS = {
     "sim",
     "synthesis",
 }
+_SIM_KEYS = {"horizon", "dt", "n_paths", "hist_cells"}
+_SYNTHESIS_KEYS = {"theta_max", "margin_floor"}
 
 
 @dataclass
@@ -195,7 +197,8 @@ def _parse_gains(raw, system: MultiChannelSystem) -> tuple[GainSet | None, str |
         return None, None
     if isinstance(raw, str):
         report = reporting.parse_report(raw)
-        matrices = report.get("outputs", {}).get("gains")
+        outputs = report.get("outputs") if isinstance(report, dict) else None
+        matrices = outputs.get("gains") if isinstance(outputs, dict) else None
         if matrices is None:
             _fail("gains", f"report {raw!r} does not contain synthesized gains")
         source = f"report:{raw}"
@@ -286,6 +289,8 @@ def parse_config(path) -> ProblemSpec:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         _fail(sorted(unknown)[0], "unknown configuration key")
+    if raw.get("schema_version", reporting.SCHEMA_VERSION) != reporting.SCHEMA_VERSION:
+        _fail("schema_version", f"must be {reporting.SCHEMA_VERSION!r}")
 
     system = _parse_system(raw.get("system"))
     gains, gains_source = _parse_gains(raw.get("gains"), system)
@@ -308,7 +313,7 @@ def parse_config(path) -> ProblemSpec:
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):
         _fail("sim", "expected an object")
-    unknown = set(sim) - {"horizon", "dt", "n_paths", "hist_cells"}
+    unknown = set(sim) - _SIM_KEYS
     if unknown:
         _fail(f"sim.{sorted(unknown)[0]}", "unknown simulation key")
     n_paths = _integer(sim.get("n_paths", 100_000), "sim.n_paths", 1)
@@ -325,25 +330,13 @@ def parse_config(path) -> ProblemSpec:
     synth_raw = raw.get("synthesis", {})
     if not isinstance(synth_raw, dict):
         _fail("synthesis", "expected an object")
-    unknown = set(synth_raw) - {"theta_max", "margin_floor", "Q_weight", "R_weights"}
+    unknown = set(synth_raw) - _SYNTHESIS_KEYS
     if unknown:
         _fail(f"synthesis.{sorted(unknown)[0]}", "unknown synthesis key")
     theta_max = _number(synth_raw.get("theta_max", 1024.0), "synthesis.theta_max")
     margin_floor = _number(synth_raw.get("margin_floor", 1e-6), "synthesis.margin_floor")
     try:
-        synthesis = SynthesisOptions(
-            Q_weight=_matrix(synth_raw["Q_weight"], "synthesis.Q_weight")
-            if "Q_weight" in synth_raw
-            else None,
-            R_weights=tuple(
-                _matrix(Ri, f"synthesis.R_weights[{i}]")
-                for i, Ri in enumerate(synth_raw["R_weights"])
-            )
-            if "R_weights" in synth_raw
-            else None,
-            theta_max=theta_max,
-            margin_floor=margin_floor,
-        )
+        synthesis = SynthesisOptions(theta_max=theta_max, margin_floor=margin_floor)
     except RedunquantError as exc:
         _fail("synthesis", str(exc))
 

@@ -12,9 +12,9 @@ Riccati design is one ordered real Schur decomposition of the Hamiltonian
 replaced). On the ladder, the nominal loop A + B K of each rung is the
 Riccati closed loop A - G P, so the rung takes the Riccati stabilizing
 check from ``verify_reliable``'s nominal abscissa and computes that
-spectrum once. Verification needs only numpy; ``scipy.linalg`` is imported
-inside the two synthesis functions that call it, so that ``verify`` does
-not pay its ~0.3 s import.
+spectrum once. Verification needs only numpy; only the Riccati solve
+imports ``scipy.linalg``, on its first call, so that ``verify`` does not
+pay its ~0.3 s import.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ class ReliabilityReport:
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    """Weights and search bounds for the gain-scaling synthesis loop."""
+    """Search bounds of the gain-scaling synthesis loop (Q = I, R = I)."""
 
-    Q_weight: np.ndarray | None = None
-    R_weights: tuple[np.ndarray, ...] | None = None
     theta_max: float = 1024.0
     margin_floor: float = 1e-6
 
@@ -69,18 +67,6 @@ def verify_reliable(sys: MultiChannelSystem, gains: GainSet) -> ReliabilityRepor
     )
     margin = float(-abscissae.max())
     return ReliabilityReport(abscissae=abscissae, margin=margin, reliable=margin > 0.0)
-
-
-def _check_pd(M: np.ndarray, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.abs(M).max()))
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise DomainError(f"{name} must be a symmetric square matrix")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise DomainError(f"{name} must be positive definite") from None
-    return 0.5 * (M + M.T)
 
 
 def solve_care_newton(
@@ -171,36 +157,17 @@ def synthesize_gains(
     """First reliable gain set on the doubling gain-effort ladder.
 
     For theta in {1, 2, 4, ..., theta_max} the stacked-input Riccati
-    equation with R/theta is solved and the per-channel gains
-    K_i = -theta R_i^{-1} B_i^T P are checked by verify_reliable; the
-    smallest passing theta wins. A rung whose nominal abscissa is >= 0
-    raises NumericalError: its Riccati solution is not stabilizing. Higher
-    theta means more aggressive feedback, which tolerates channel outages
-    more often. A plant that is not stabilizable through all channels
-    together fails before the ladder, with the zero-gain report as its
-    best report.
+    equation with Q = I and R = I/theta is solved and the per-channel gains
+    K_i = -theta B_i^T P are checked by verify_reliable; the smallest
+    passing theta wins. A rung whose nominal abscissa is >= 0 raises
+    NumericalError: its Riccati solution is not stabilizing. Higher theta
+    means more aggressive feedback, which tolerates channel outages more
+    often. A plant that is not stabilizable through all channels together
+    fails before the ladder, with the zero-gain report as its best report.
     """
-    import scipy.linalg  # lazy; see the module docstring
-
     opts = opts or SynthesisOptions()
     d = sys.d
-    Q = np.eye(d) if opts.Q_weight is None else _check_pd(opts.Q_weight, "Q_weight")
-    if Q.shape != (d, d):
-        raise DomainError(f"Q_weight must be {d}x{d}")
-    if opts.R_weights is None:
-        R_blocks = [np.eye(r) for r in sys.input_dims]
-    else:
-        if len(opts.R_weights) != sys.n_channels:
-            raise DomainError("one R weight per channel is required")
-        R_blocks = [
-            _check_pd(Ri, f"R_weights[{i}]") for i, Ri in enumerate(opts.R_weights)
-        ]
-        for i, (Ri, r) in enumerate(zip(R_blocks, sys.input_dims)):
-            if Ri.shape != (r, r):
-                raise DomainError(f"R_weights[{i}] must be {r}x{r}")
-
     B_full = np.hstack(sys.B)
-    R_full = scipy.linalg.block_diag(*R_blocks)
     splits = np.cumsum(sys.input_dims)[:-1]
     lam = _unstabilizable_eigenvalue(sys.A, B_full)
     if lam is not None:
@@ -212,11 +179,12 @@ def synthesize_gains(
             best_report=verify_reliable(sys, zero),
         )
 
+    Q, R = np.eye(d), np.eye(B_full.shape[1])
     best_report: ReliabilityReport | None = None
     theta = 1.0
     while theta <= opts.theta_max * (1.0 + 1e-12):
-        P, _ = _care_schur(sys.A, B_full, R_full / theta, Q)
-        K_full = -theta * np.linalg.solve(R_full, B_full.T @ P)
+        P, _ = _care_schur(sys.A, B_full, R / theta, Q)
+        K_full = -theta * (B_full.T @ P)
         gains = GainSet(np.split(K_full, splits, axis=0))
         report = verify_reliable(sys, gains)
         if report.abscissae[0] >= 0.0:  # the nominal loop A + B K is A - G P

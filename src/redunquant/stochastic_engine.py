@@ -494,11 +494,10 @@ def default_stationary_box(
 
     For affine diagonal sigma the spread is estimated from a one-step
     fixed point of the Lyapunov equation with sigma frozen at the current
-    spread estimate.
+    spread estimate. A non-Hurwitz mode raises NotHurwitzError from the
+    first Lyapunov solve.
     """
     A_j = closed_loop_matrix(sys, gains, mode)
-    if spectral_abscissa(A_j) >= 0.0:
-        raise NotHurwitzError(f"mode {mode} is not Hurwitz; no stationary box exists")
     eps = float(eps)
     if isinstance(sys.sigma, ConstantDiffusion):
         P = solve_lyapunov(A_j, eps**2 * sys.sigma.diffusion_matrix())

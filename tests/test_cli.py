@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redunquant import reporting, systemic_redundancy, verify_reliable
+from redunquant import cli, reporting, systemic_redundancy, verify_reliable
 from redunquant.cli import main, parse_config, run_command
 from redunquant.errors import ConfigSyntaxError, ConfigValidationError
 
@@ -124,8 +125,24 @@ class TestParseConfig:
             ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [1]}, "grid.n_cells"),
             ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": 10}, "grid.n_cells"),
             ("sim", {"horizon": 0.001, "dt": 0.01}, "sim.horizon"),
+            ("schema_version", "banana", "schema_version"),
+            ("schema_version", 2, "schema_version"),
+            ("schema_version", None, "schema_version"),
+            ("synthesis", {"Q_weight": [[1.0]]}, "synthesis.Q_weight"),
+            ("synthesis", {"R_weights": [[[1.0]], [[1.0]]]}, "synthesis.R_weights"),
         ],
-        ids=["n_cells_bool", "n_cells_fraction", "n_cells_one", "n_cells_scalar", "horizon_below_dt"],
+        ids=[
+            "n_cells_bool",
+            "n_cells_fraction",
+            "n_cells_one",
+            "n_cells_scalar",
+            "horizon_below_dt",
+            "schema_version_string",
+            "schema_version_int",
+            "schema_version_null",
+            "synthesis_Q_weight",
+            "synthesis_R_weights",
+        ],
     )
     def test_rejected_at_parse_time(self, tmp_path, key, value, field):
         # each of these used to pass parse_config and fail later, or not at all
@@ -146,6 +163,16 @@ class TestParseConfig:
         spec = parse_config(write_config(tmp_path, payload, "second.json"))
         assert spec.gains is not None
         assert spec.gains_source.startswith("report:")
+
+    def test_readme_schema_lists_every_accepted_key(self):
+        # a setting that parse_config accepts must appear in the README schema
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        block = re.sub(r"//.*", "", block).replace("...", "0")
+        schema = json.loads(block)
+        assert set(schema) == cli._KNOWN_KEYS
+        assert set(schema["sim"]) == cli._SIM_KEYS
+        assert set(schema["synthesis"]) == cli._SYNTHESIS_KEYS
 
 
 class TestRunCommand:
@@ -609,6 +636,19 @@ class TestExitCodes:
         code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1
         assert f"error: config field '{field}': entries must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "report", [[1, 2], {"outputs": [1]}], ids=["report_list", "outputs_list"]
+    )
+    def test_gains_report_not_an_object_exit1(self, tmp_path, report, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        payload = dict(SCALAR_CONFIG, gains=str(path))
+        out = tmp_path / "new"
+        code = main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert "error: config field 'gains'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exit0(self, capsys):

@@ -12,6 +12,7 @@ from redunquant.errors import (
     DomainError,
     NonUniqueError,
     NotHurwitzError,
+    NumericalError,
     OutOfBoxError,
     UnsupportedDiffusionError,
 )
@@ -500,6 +501,16 @@ class TestGridSolver:
         with pytest.raises(NotHurwitzError):
             rq.solve_stationary_fp_grid(system, rq.GainSet([[[0.0]]]), 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [rq.ConstantDiffusion([[1.0]]), rq.DiagAffineDiffusion([1.0], [0.5])],
+        ids=["constant", "diag_affine"],
+    )
+    def test_default_box_of_unstable_mode_raises(self, sigma):
+        system = rq.MultiChannelSystem([[0.5]], [[[1.0]]], sigma)
+        with pytest.raises(NotHurwitzError):
+            rq.default_stationary_box(system, rq.GainSet([[[0.0]]]), 0, 1.0)
+
     def test_2d_constant_with_cross_terms(self):
         A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
         S = np.array([[1.0, 0.4], [0.0, 0.9]])
@@ -537,6 +548,22 @@ class TestGridSolver:
         # cell Peclet numbers reach ~42 on these plants at 101^2; a central
         # advective flux stays monotone only up to 2
         system, gains = eccentric_plant(seed)
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1)
+        assert tuple(solved.box.n) == (101, 101)
+        exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), solved.box)
+        l1 = np.abs(solved.values - exact.values).sum() * solved.box.cell_volume
+        assert l1 <= 2e-2
+
+    @pytest.mark.xfail(
+        raises=NumericalError,
+        strict=True,
+        reason="central cross-diffusion terms of a full S drive x-frame entries negative",
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_eccentric_rotated_plant_full_noise(self, seed):
+        # the same plants with a full S; systemic_redundancy's grid route
+        # solves them in the eigenbasis of S S^T, where the diffusion is diagonal
+        system, gains = eccentric_plant(seed, diagonal=False)
         solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1)
         assert tuple(solved.box.n) == (101, 101)
         exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), solved.box)
