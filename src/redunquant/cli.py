@@ -49,7 +49,7 @@ from .redundancy_analysis import (
     systemic_redundancy,
     time_sweep,
 )
-from .reliable_gains import SynthesisOptions, synthesize_gains, verify_reliable
+from .reliable_gains import SynthesisOptions, _synthesize, synthesize_gains, verify_reliable
 from .stochastic_engine import (
     default_sim_params,
     empirical_density,
@@ -66,22 +66,21 @@ from .system_model import (
 
 COMMANDS = ("verify", "synth", "redundancy", "sweep-eps", "sweep-time", "simulate", "fp-grid")
 
-_KNOWN_KEYS = {
-    "schema_version",
-    "system",
-    "gains",
-    "epsilon",
-    "rho0",
-    "seed",
-    "method",
-    "grid",
-    "mode",
-    "t_list",
-    "sim",
-    "synthesis",
+#: The accepted keys of each configuration object, by its field name;
+#: those of ``sigma`` depend on its ``type``.
+_ROOT = "<root>"
+_KEYS = {
+    _ROOT: {
+        "schema_version", "system", "gains", "epsilon", "rho0", "seed",
+        "method", "grid", "mode", "t_list", "sim", "synthesis",
+    },
+    "system": {"A", "B", "N", "sigma"},
+    "sigma": {"constant": {"type", "S"}, "diag_affine": {"type", "c", "s"}},
+    "rho0": {"mean", "cov"},
+    "grid": {"lo", "hi", "n_cells"},
+    "sim": {"horizon", "dt", "n_paths", "hist_cells"},
+    "synthesis": {"theta_max", "margin_floor"},
 }
-_SIM_KEYS = {"horizon", "dt", "n_paths", "hist_cells"}
-_SYNTHESIS_KEYS = {"theta_max", "margin_floor"}
 
 
 @dataclass
@@ -139,57 +138,60 @@ def _integer(value, field: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _matrix(value, field: str) -> np.ndarray:
+def _array(value, field: str, ndim: int) -> np.ndarray:
     try:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError):
-        _fail(field, "expected a nested array of numbers")
-    if out.ndim != 2 or not np.all(np.isfinite(out)):
-        _fail(field, "expected a finite 2-d matrix (nested row-major arrays)")
+        out = None
+    if out is None or out.ndim != ndim or not np.all(np.isfinite(out)):
+        _fail(field, f"expected a finite {ndim}-d array of numbers")
     return out
 
 
-def _vector(value, field: str) -> np.ndarray:
-    try:
-        out = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(field, "expected an array of numbers")
-    if out.ndim != 1 or not np.all(np.isfinite(out)):
-        _fail(field, "expected a finite 1-d array")
-    return out
+def _object(raw, field: str, keys: set[str] | None = None) -> dict:
+    """``raw``, checked to be a JSON object with no key outside ``keys``
+    (by default ``_KEYS[field]``). An unknown key is named as the field
+    ``object.key``, or bare at the root."""
+    if not isinstance(raw, dict):
+        _fail(field, "expected a JSON object")
+    unknown = sorted(set(raw) - (keys or _KEYS[field]))
+    if unknown:
+        key = unknown[0] if field == _ROOT else f"{field}.{unknown[0]}"
+        _fail(key, "unknown configuration key")
+    return raw
 
 
-def _parse_sigma(raw, field: str):
-    if not isinstance(raw, dict) or "type" not in raw:
-        _fail(field, 'expected an object with a "type" key')
-    kind = raw["type"]
+def _build(field: str, constructor, *args, **kwargs):
+    """``constructor(*args, **kwargs)`` with a library error reported as
+    config field ``field``. The arguments are parsed before the call, so a
+    ``ConfigError`` of one of them keeps its own field."""
     try:
-        if kind == "constant":
-            return ConstantDiffusion(_matrix(raw.get("S"), f"{field}.S"))
-        if kind == "diag_affine":
-            return DiagAffineDiffusion(
-                _vector(raw.get("c"), f"{field}.c"), _vector(raw.get("s"), f"{field}.s")
-            )
+        return constructor(*args, **kwargs)
     except RedunquantError as exc:
         _fail(field, str(exc))
-    _fail(field, f'unknown diffusion type {kind!r} (use "constant" or "diag_affine")')
+
+
+def _parse_sigma(raw):
+    kind = raw.get("type") if isinstance(raw, dict) else None
+    if kind not in ("constant", "diag_affine"):
+        _fail("sigma", 'expected an object whose "type" is "constant" or "diag_affine"')
+    _object(raw, "sigma", _KEYS["sigma"][kind])
+    if kind == "constant":
+        return _build("sigma", ConstantDiffusion, _array(raw.get("S"), "sigma.S", 2))
+    c, s = _array(raw.get("c"), "sigma.c", 1), _array(raw.get("s"), "sigma.s", 1)
+    return _build("sigma", DiagAffineDiffusion, c, s)
 
 
 def _parse_system(raw) -> MultiChannelSystem:
-    if not isinstance(raw, dict):
-        _fail("system", "expected an object with A, B and sigma")
-    A = _matrix(raw.get("A"), "A")
+    raw = _object(raw, "system")
+    A = _array(raw.get("A"), "A", 2)
     b_raw = raw.get("B")
     if not isinstance(b_raw, list) or not b_raw:
         _fail("B", "expected a nonempty list of input matrices")
-    B = [_matrix(Bi, f"B[{i}]") for i, Bi in enumerate(b_raw)]
+    B = [_array(Bi, f"B[{i}]", 2) for i, Bi in enumerate(b_raw)]
     if "N" in raw and _integer(raw["N"], "N", 1) != len(B):
         _fail("B", f"B has {len(B)} entries but N = {raw['N']}")
-    sigma = _parse_sigma(raw.get("sigma"), "sigma")
-    try:
-        return MultiChannelSystem(A, B, sigma)
-    except RedunquantError as exc:
-        _fail("system", str(exc))
+    return _build("system", MultiChannelSystem, A, B, _parse_sigma(raw.get("sigma")))
 
 
 def _parse_gains(raw, system: MultiChannelSystem) -> tuple[GainSet | None, str | None]:
@@ -207,10 +209,8 @@ def _parse_gains(raw, system: MultiChannelSystem) -> tuple[GainSet | None, str |
         source = "config"
     if not isinstance(matrices, list):
         _fail("gains", "expected a list of gain matrices or a synth report path")
-    try:
-        gains = GainSet([_matrix(Ki, f"gains[{i}]") for i, Ki in enumerate(matrices)])
-    except RedunquantError as exc:
-        _fail("gains", str(exc))
+    K = [_array(Ki, f"gains[{i}]", 2) for i, Ki in enumerate(matrices)]
+    gains = _build("gains", GainSet, K)
     if gains.n_channels != system.n_channels:
         _fail("gains", f"{gains.n_channels} gains for {system.n_channels} channels")
     for i, (Ki, Bi) in enumerate(zip(gains.K, system.B)):
@@ -239,12 +239,9 @@ def _parse_epsilon(raw):
 def _parse_rho0(raw, d: int) -> GaussianDensity | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        _fail("rho0", "expected an object with mean and cov")
-    try:
-        density = GaussianDensity(_vector(raw.get("mean"), "rho0.mean"), _matrix(raw.get("cov"), "rho0.cov"))
-    except RedunquantError as exc:
-        _fail("rho0", str(exc))
+    raw = _object(raw, "rho0")
+    mean, cov = _array(raw.get("mean"), "rho0.mean", 1), _array(raw.get("cov"), "rho0.cov", 2)
+    density = _build("rho0", GaussianDensity, mean, cov)
     if density.dim != d:
         _fail("rho0", f"dimension {density.dim} does not match state dimension {d}")
     return density
@@ -253,18 +250,12 @@ def _parse_rho0(raw, d: int) -> GaussianDensity | None:
 def _parse_grid(raw, d: int) -> Box | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        _fail("grid", "expected an object with lo, hi and n_cells")
-    lo = _vector(raw.get("lo"), "grid.lo")
-    hi = _vector(raw.get("hi"), "grid.hi")
+    raw = _object(raw, "grid")
+    lo, hi = _array(raw.get("lo"), "grid.lo", 1), _array(raw.get("hi"), "grid.hi", 1)
     n = raw.get("n_cells")
     if not isinstance(n, list):
         _fail("grid.n_cells", "expected a list of cell counts")
-    n = [_integer(v, "grid.n_cells", 3) for v in n]
-    try:
-        box = Box(lo, hi, n)
-    except RedunquantError as exc:
-        _fail("grid", str(exc))
+    box = _build("grid", Box, lo, hi, [_integer(v, "grid.n_cells", 3) for v in n])
     if box.dim != d:
         _fail("grid", f"dimension {box.dim} does not match state dimension {d}")
     return box
@@ -284,11 +275,7 @@ def parse_config(path) -> ProblemSpec:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
-    if not isinstance(raw, dict):
-        _fail("<root>", "config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown configuration key")
+    raw = _object(raw, _ROOT)
     if raw.get("schema_version", reporting.SCHEMA_VERSION) != reporting.SCHEMA_VERSION:
         _fail("schema_version", f"must be {reporting.SCHEMA_VERSION!r}")
 
@@ -310,12 +297,7 @@ def parse_config(path) -> ProblemSpec:
         if any(v < 0.0 for v in t_list):
             _fail("t_list", "entries must be nonnegative")
 
-    sim = raw.get("sim", {})
-    if not isinstance(sim, dict):
-        _fail("sim", "expected an object")
-    unknown = set(sim) - _SIM_KEYS
-    if unknown:
-        _fail(f"sim.{sorted(unknown)[0]}", "unknown simulation key")
+    sim = _object(raw.get("sim", {}), "sim")
     n_paths = _integer(sim.get("n_paths", 100_000), "sim.n_paths", 1)
     horizon = sim.get("horizon")
     if horizon is not None and _number(horizon, "sim.horizon") <= 0:
@@ -327,18 +309,13 @@ def parse_config(path) -> ProblemSpec:
         _fail("sim.horizon", "must be at least one step (sim.dt)")
     hist_cells = _integer(sim.get("hist_cells", 64), "sim.hist_cells", 1)
 
-    synth_raw = raw.get("synthesis", {})
-    if not isinstance(synth_raw, dict):
-        _fail("synthesis", "expected an object")
-    unknown = set(synth_raw) - _SYNTHESIS_KEYS
-    if unknown:
-        _fail(f"synthesis.{sorted(unknown)[0]}", "unknown synthesis key")
-    theta_max = _number(synth_raw.get("theta_max", 1024.0), "synthesis.theta_max")
-    margin_floor = _number(synth_raw.get("margin_floor", 1e-6), "synthesis.margin_floor")
-    try:
-        synthesis = SynthesisOptions(theta_max=theta_max, margin_floor=margin_floor)
-    except RedunquantError as exc:
-        _fail("synthesis", str(exc))
+    synth_raw = _object(raw.get("synthesis", {}), "synthesis")
+    synthesis = _build(
+        "synthesis",
+        SynthesisOptions,
+        theta_max=_number(synth_raw.get("theta_max", 1024.0), "synthesis.theta_max"),
+        margin_floor=_number(synth_raw.get("margin_floor", 1e-6), "synthesis.margin_floor"),
+    )
 
     return ProblemSpec(
         system=system,
@@ -430,6 +407,15 @@ def run_command(
         "paper_literal_jacobian": paper_literal_jacobian,
         "avg_normalization": avg_normalization,
     }
+    route = {
+        "seed": seed,
+        "avg_normalization": avg_normalization,
+        "n_paths": spec.n_paths,
+        "horizon": spec.horizon,
+        "dt": spec.dt,
+        "hist_cells": spec.hist_cells,
+        "grid_box": spec.grid,
+    }
 
     exit_code = 0
     csv_text = None
@@ -450,8 +436,7 @@ def run_command(
                 )
                 exit_code = 2
         elif cmd == "synth":
-            gains = synthesize_gains(sys_, spec.synthesis)
-            report = verify_reliable(sys_, gains)
+            gains, report = _synthesize(sys_, spec.synthesis)
             outputs = {
                 "method": "closed_form",
                 "gains": [Ki.tolist() for Ki in gains.K],
@@ -461,19 +446,7 @@ def run_command(
             eps = _require_scalar_epsilon(spec)
             gains, source = _resolve_gains(spec)
             _check_monte_carlo_steps(spec, gains, method)
-            result = systemic_redundancy(
-                sys_,
-                gains,
-                eps,
-                method,
-                seed=seed,
-                avg_normalization=avg_normalization,
-                n_paths=spec.n_paths,
-                horizon=spec.horizon,
-                dt=spec.dt,
-                hist_cells=spec.hist_cells,
-                grid_box=spec.grid,
-            )
+            result = systemic_redundancy(sys_, gains, eps, method, **route)
             outputs = {
                 "method": method,
                 "gains_source": source,
@@ -482,19 +455,7 @@ def run_command(
         elif cmd == "sweep-eps":
             gains, source = _resolve_gains(spec)
             _check_monte_carlo_steps(spec, gains, method)
-            table = epsilon_sweep(
-                sys_,
-                gains,
-                _epsilon_list(spec),
-                method,
-                seed=seed,
-                avg_normalization=avg_normalization,
-                n_paths=spec.n_paths,
-                horizon=spec.horizon,
-                dt=spec.dt,
-                hist_cells=spec.hist_cells,
-                grid_box=spec.grid,
-            )
+            table = epsilon_sweep(sys_, gains, _epsilon_list(spec), method, **route)
             outputs = {
                 "method": method,
                 "gains_source": source,

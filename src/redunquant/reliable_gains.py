@@ -165,6 +165,13 @@ def synthesize_gains(
     often. A plant that is not stabilizable through all channels together
     fails before the ladder, with the zero-gain report as its best report.
     """
+    return _synthesize(sys, opts)[0]
+
+
+def _synthesize(
+    sys: MultiChannelSystem, opts: SynthesisOptions | None = None
+) -> tuple[GainSet, ReliabilityReport]:
+    """``synthesize_gains`` with the winning rung's verification report."""
     opts = opts or SynthesisOptions()
     d = sys.d
     B_full = np.hstack(sys.B)
@@ -193,7 +200,7 @@ def synthesize_gains(
                 f"abscissa {report.abscissae[0]!r}"
             )
         if report.reliable and report.margin >= opts.margin_floor:
-            return gains
+            return gains, report
         if best_report is None or report.margin > best_report.margin:
             best_report = report
         theta *= 2.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -105,6 +106,14 @@ class TestParseConfig:
             (("sim", "hist_cells"), False, "sim.hist_cells"),
             (("sim", "horizon"), True, "sim.horizon"),
             (("epsilon",), 10**400, "epsilon"),
+            # a nested value keeps its own field
+            (("system", "sigma"), {"type": "constant", "S": [[1.0, 2.0], [3.0]]}, "sigma.S"),
+            (("system", "sigma"), {"type": "diag_affine", "c": [[1.0]], "s": [0.5]}, "sigma.c"),
+            (("rho0",), {"mean": [0.0], "cov": "wide"}, "rho0.cov"),
+            (("gains",), [[[-2.0]], [["x"]]], "gains[1]"),
+            # a value that the library constructor rejects is named as its object
+            (("system", "sigma"), {"type": "diag_affine", "c": [1.0], "s": [0.5, 1.0]}, "sigma"),
+            (("rho0",), {"mean": [0.0], "cov": [[-1.0]]}, "rho0"),
         ],
     )
     def test_malformed_number_rejected(self, tmp_path, path, value, field):
@@ -116,6 +125,7 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(write_config(tmp_path, payload))
         assert err.value.field == field
+        assert str(err.value).count("config field") == 1
 
     @pytest.mark.parametrize(
         "key, value, field",
@@ -130,6 +140,14 @@ class TestParseConfig:
             ("schema_version", None, "schema_version"),
             ("synthesis", {"Q_weight": [[1.0]]}, "synthesis.Q_weight"),
             ("synthesis", {"R_weights": [[[1.0]], [[1.0]]]}, "synthesis.R_weights"),
+            ("system", dict(SCALAR_CONFIG["system"], n=2), "system.n"),
+            (
+                "system",
+                dict(SCALAR_CONFIG["system"], sigma=dict(SCALAR_CONFIG["system"]["sigma"], s=[1.0])),
+                "sigma.s",
+            ),
+            ("rho0", {"mean": [0.0], "cov": [[1.0]], "mea": [0.0]}, "rho0.mea"),
+            ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [10], "n_cell": [5]}, "grid.n_cell"),
         ],
         ids=[
             "n_cells_bool",
@@ -142,6 +160,10 @@ class TestParseConfig:
             "schema_version_null",
             "synthesis_Q_weight",
             "synthesis_R_weights",
+            "system_n",
+            "sigma_s_on_constant",
+            "rho0_mea",
+            "grid_n_cell",
         ],
     )
     def test_rejected_at_parse_time(self, tmp_path, key, value, field):
@@ -165,14 +187,35 @@ class TestParseConfig:
         assert spec.gains_source.startswith("report:")
 
     def test_readme_schema_lists_every_accepted_key(self):
-        # a setting that parse_config accepts must appear in the README schema
+        # a setting that parse_config accepts must appear in the README schema:
+        # its first jsonc block is the whole config, its second the sigma forms
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
-        block = re.sub(r"//.*", "", block).replace("...", "0")
-        schema = json.loads(block)
-        assert set(schema) == cli._KNOWN_KEYS
-        assert set(schema["sim"]) == cli._SIM_KEYS
-        assert set(schema["synthesis"]) == cli._SYNTHESIS_KEYS
+        schema, sigmas = (
+            json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]).replace("...", "0"))
+            for block in readme.split("```jsonc\n")[1:3]
+        )
+        objects = {cli._ROOT: schema, **schema, **schema["system"]}
+        documented = {name: set(objects[name]) for name in cli._KEYS}
+        documented["sigma"] = {form["type"]: set(form) for form in sigmas}
+        assert documented == cli._KEYS
+
+    def test_readme_cli_section_matches_parser(self):
+        # a command, option or choice must appear in the README's usage block
+        # and command table under the name the parser accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\nExit codes:", 1)[0]
+        _, usage, table = section.split("```", 2)
+        commands = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert re.findall(r"^\| `([\w-]+)`", table, re.M) == list(commands) == list(cli.COMMANDS)
+        for sub in commands.values():
+            options = [a for a in sub._actions if a.dest != "help"]
+            assert set(re.findall(r"--[\w-]+", usage)) == {o.option_strings[0] for o in options}
+            for option in options:
+                if option.choices is not None:
+                    shown = re.search(rf"{option.option_strings[0]} ([\w|]+)", usage).group(1)
+                    assert shown.split("|") == list(option.choices)
 
 
 class TestRunCommand:
@@ -304,6 +347,32 @@ class TestRunCommand:
         sim = report["outputs"]["simulation"]
         assert sim["n_paths"] == 2000
         assert sim["seed"] == 42
+
+    def test_simulate_histogram_on_covering_grid(self, tmp_path):
+        # the stationary law has std 0.04, so [-0.5, 0.5] holds every sample
+        grid = {"lo": [-0.5], "hi": [0.5], "n_cells": [25]}
+        payload = dict(SCALAR_CONFIG, sim={"n_paths": 2000}, grid=grid)
+        out = tmp_path / "out"
+        assert run_command("simulate", parse_config(write_config(tmp_path, payload)), out) == 0
+        histogram = reporting.parse_report(out / "report.json")["outputs"]["histogram"]
+        assert histogram["leakage"] == 0.0
+        assert histogram["n_cells"] == [25]
+        assert sum(histogram["values"]) * (1.0 / 25) == pytest.approx(1.0, abs=1e-12)
+
+    def test_synth_verifies_once(self, tmp_path, monkeypatch):
+        # the winning rung's report is the one written; the CLI does not verify again
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return verify_reliable(*args)
+
+        monkeypatch.setattr(cli, "verify_reliable", counting)
+        out = tmp_path / "out"
+        assert run_command("synth", parse_config(write_config(tmp_path, SCALAR_CONFIG)), out) == 0
+        outputs = reporting.parse_report(out / "report.json")["outputs"]
+        assert outputs["reliability"]["reliable"] is True
+        assert calls == []
 
     def test_simulate_single_path_covariance_is_nan(self, tmp_path, capsys):
         payload = dict(SCALAR_CONFIG, sim={"n_paths": 1})
@@ -574,6 +643,44 @@ class TestExitCodes:
         code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1
         assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, sigma",
+        [
+            ((), None),
+            (("system",), None),
+            (("system", "sigma"), None),
+            (("system", "sigma"), DIAG_AFFINE_CONFIG["system"]["sigma"]),
+            (("rho0",), None),
+            (("grid",), None),
+            (("sim",), None),
+            (("synthesis",), None),
+        ],
+        ids=[
+            "root", "system", "sigma_constant", "sigma_diag_affine",
+            "rho0", "grid", "sim", "synthesis",
+        ],
+    )
+    def test_unknown_key_of_every_object_exit1(self, tmp_path, path, sigma, capsys):
+        payload = dict(
+            json.loads(json.dumps(SCALAR_CONFIG)),
+            rho0={"mean": [0.0], "cov": [[1.0]]},
+            grid={"lo": [-1.0], "hi": [1.0], "n_cells": [10]},
+            sim={},
+            synthesis={},
+        )
+        if sigma is not None:
+            payload["system"]["sigma"] = dict(sigma)
+        target = payload
+        for key in path:
+            target = target[key]
+        target["bogus"] = 1
+        field = ".".join([*path[-1:], "bogus"])
+        out = tmp_path / "new"
+        code = main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert f"error: config field '{field}': unknown" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -157,6 +157,16 @@ class TestSystemicRedundancy:
             report = rq.systemic_redundancy(system, gains, 0.5)
             assert all(math.isfinite(k) and k >= 0.0 for k in report.kl_per_channel)
 
+    def test_solver_kl_is_infinite_where_reference_is_unresolvable(self):
+        # q puts 1e-2 of its mass, more than the 1e-3 allowed, on cells where
+        # p is below solver resolution
+        box = rq.Box([0.0], [4.0], [4])
+        p = rq.GridDensity(box, [1.0 - 2e-14, 1e-14, 1e-14, 0.0])
+        q = rq.GridDensity(box, [0.99, 0.0, 0.0, 0.01])
+        kl, dropped = _solver_kl(q, p)
+        assert kl == math.inf
+        assert dropped == pytest.approx(1e-2)
+
 
 def _full_s_plane():
     """d=2, two unit channels, S S^T with a nonzero off-diagonal entry."""
