@@ -184,13 +184,13 @@ def _parse_sigma(raw):
 
 def _parse_system(raw) -> MultiChannelSystem:
     raw = _object(raw, "system")
-    A = _array(raw.get("A"), "A", 2)
+    A = _array(raw.get("A"), "system.A", 2)
     b_raw = raw.get("B")
     if not isinstance(b_raw, list) or not b_raw:
-        _fail("B", "expected a nonempty list of input matrices")
-    B = [_array(Bi, f"B[{i}]", 2) for i, Bi in enumerate(b_raw)]
-    if "N" in raw and _integer(raw["N"], "N", 1) != len(B):
-        _fail("B", f"B has {len(B)} entries but N = {raw['N']}")
+        _fail("system.B", "expected a nonempty list of input matrices")
+    B = [_array(Bi, f"system.B[{i}]", 2) for i, Bi in enumerate(b_raw)]
+    if "N" in raw and _integer(raw["N"], "system.N", 1) != len(B):
+        _fail("system.B", f"B has {len(B)} entries but N = {raw['N']}")
     return _build("system", MultiChannelSystem, A, B, _parse_sigma(raw.get("sigma")))
 
 

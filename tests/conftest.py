@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +14,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports redunquant from src/.
+
+    pyproject's ``pythonpath`` reaches only the pytest process itself.
+    """
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.fixture

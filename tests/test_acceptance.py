@@ -16,7 +16,7 @@ import redunquant as rq
 from redunquant import reporting
 from redunquant.cli import parse_config, run_command
 
-from .conftest import random_gains, random_system
+from .conftest import child_env, random_gains, random_system
 from .oracles import brute_force_reliable
 
 R_SCALAR_EPS_01 = 2.8924206553314917  # derived in test_redundancy_analysis
@@ -277,6 +277,7 @@ def test_criterion_9_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         outputs.append(out)

@@ -14,7 +14,9 @@ from redunquant import cli, reporting, systemic_redundancy, verify_reliable
 from redunquant.cli import main, parse_config, run_command
 from redunquant.errors import ConfigSyntaxError, ConfigValidationError
 
-BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "scalar_two_channel.json"
+from .conftest import ROOT, child_env
+
+BUNDLED_CONFIG = ROOT / "configs" / "scalar_two_channel.json"
 
 SCALAR_CONFIG = {
     "system": {
@@ -80,7 +82,7 @@ class TestParseConfig:
         payload["gains"] = None
         with pytest.raises(ConfigValidationError) as err:
             parse_config(write_config(tmp_path, payload))
-        assert err.value.field == "B"
+        assert err.value.field == "system.B"
 
     def test_negative_epsilon(self, tmp_path):
         payload = dict(SCALAR_CONFIG, epsilon=-0.1)
@@ -99,7 +101,7 @@ class TestParseConfig:
         [
             (("t_list",), ["x"], "t_list"),
             (("t_list",), [True], "t_list"),
-            (("system", "N"), "two", "N"),
+            (("system", "N"), "two", "system.N"),
             (("synthesis", "theta_max"), "big", "synthesis.theta_max"),
             (("synthesis", "margin_floor"), [1], "synthesis.margin_floor"),
             (("sim", "n_paths"), True, "sim.n_paths"),
@@ -189,7 +191,7 @@ class TestParseConfig:
     def test_readme_schema_lists_every_accepted_key(self):
         # a setting that parse_config accepts must appear in the README schema:
         # its first jsonc block is the whole config, its second the sigma forms
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         schema, sigmas = (
             json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]).replace("...", "0"))
             for block in readme.split("```jsonc\n")[1:3]
@@ -202,7 +204,7 @@ class TestParseConfig:
     def test_readme_cli_section_matches_parser(self):
         # a command, option or choice must appear in the README's usage block
         # and command table under the name the parser accepts
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         section = readme.split("\n## CLI\n", 1)[1].split("\nExit codes:", 1)[0]
         _, usage, table = section.split("```", 2)
         commands = next(
@@ -491,6 +493,7 @@ class TestMainEntryPoint:
             [sys.executable, "-m", "redunquant", *args],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
 
     def test_full_invocation(self, tmp_path):
@@ -576,7 +579,7 @@ class TestMainEntryPoint:
             """
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
         )
         assert result.returncode == 0, result.stderr
 

@@ -1,21 +1,18 @@
 import csv
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from .conftest import ROOT, child_env
 
 
 class TestRunScalarBenchmark:
     def test_writes_numeric_sweep_tables(self, tmp_path):
         script = ROOT / "scripts" / "run_scalar_benchmark.py"
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         result = subprocess.run(
             [sys.executable, str(script), "--out", str(tmp_path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         for name, parameter in (("eps_sweep.csv", "epsilon"), ("time_sweep.csv", "t")):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import redunquant as rq
 from redunquant import stochastic_engine
@@ -443,6 +444,36 @@ class TestFpResidual:
         assert 2.5 <= res_coarse / res_fine <= 6.0
 
 
+def _unfolded_solve(system, gains, mode, eps, box) -> np.ndarray:
+    """solve_stationary_fp_grid's values from _pinned_null_vector without a mirror map."""
+    L = _assemble_fv_operator(system, rq.closed_loop_matrix(system, gains, mode), eps, box)
+    origin = np.clip(np.floor(-box.lo / box.cell_widths), 0, box.n - 1).astype(int)
+    v = _pinned_null_vector(L, int(np.ravel_multi_index(tuple(origin), tuple(box.n))))
+    values = np.clip(v.reshape(tuple(box.n)) / (v.sum() * box.cell_volume), 0.0, None)
+    return rq.GridDensity.from_unnormalized(box, values).values
+
+
+def _fold_case(name):
+    """(system, gains, eps, box) of one symmetric-box plant."""
+    zero_gain = rq.GainSet([np.zeros((1, 2))])
+    if name.startswith("1d"):
+        system = rq.MultiChannelSystem([[-1.0]], [[[1.0]]], rq.ConstantDiffusion([[1.0]]))
+        n = 801 if name == "1d_odd" else 800
+        return system, rq.GainSet([[[0.0]]]), 1.0, rq.Box([-6.0], [6.0], [n])
+    if name == "2d_full_s_x_frame":  # the plant of test_2d_constant_with_cross_terms
+        A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
+        sigma = rq.ConstantDiffusion([[1.0, 0.4], [0.0, 0.9]])
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], sigma)
+        std = np.sqrt(np.diag(rq.stationary_gaussian(system, zero_gain, 0, 1.0).cov)).max()
+        return system, zero_gain, 1.0, rq.Box([-6 * std] * 2, [6 * std] * 2, [121, 121])
+    sigma = {
+        "2d_diagonal_s": rq.ConstantDiffusion(np.diag([0.7, 1.3])),
+        "2d_diag_affine": rq.DiagAffineDiffusion([0.7, 1.3], [0.5, 2.0]),
+    }[name]
+    system = rq.MultiChannelSystem(eccentric_plant(4)[0].A, [np.zeros((2, 1))], sigma)
+    return system, zero_gain, 0.3, rq.Box([-1.5, -1.5], [1.5, 1.5], [61, 60])
+
+
 class TestGridSolver:
     def test_ou_matches_analytic(self, ou_system):
         system, gains = ou_system
@@ -595,6 +626,60 @@ class TestGridSolver:
         assert np.all(np.diag(L) > 0.0)
         assert np.all(off <= 0.0)
         assert np.abs(L.sum(axis=0)).max() <= 1e-12 * np.abs(L).max()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["1d_odd", "1d_even", "2d_diagonal_s", "2d_full_s_x_frame", "2d_diag_affine"],
+    )
+    def test_symmetric_box_folds_to_the_unfolded_solve(self, case):
+        system, gains, eps, box = _fold_case(case)
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, eps, box=box).values
+        ref = _unfolded_solve(system, gains, 0, eps, box)
+        assert np.abs(solved - ref).max() <= 1e-12 * ref.max()
+        np.testing.assert_array_equal(solved, np.flip(solved))
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            rq.ConstantDiffusion(np.diag([0.7, 1.3])),
+            rq.DiagAffineDiffusion([0.7, 1.3], [0.5, 2.0]),
+        ],
+        ids=["constant", "diag_affine"],
+    )
+    def test_asymmetric_box_is_not_folded(self, sigma):
+        A = eccentric_plant(4)[0].A
+        system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], sigma)
+        gains = rq.GainSet([np.zeros((1, 2))])
+        box = rq.Box([-1.0, -1.5], [1.2, 1.5], [41, 37])
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.3, box=box)
+        np.testing.assert_array_equal(solved.values, _unfolded_solve(system, gains, 0, 0.3, box))
+
+    def test_symmetric_box_factors_half_the_cells(self, monkeypatch):
+        factored = []
+        splu = scipy.sparse.linalg.splu
+
+        def recording_splu(A, **kwargs):
+            factored.append(A.shape)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        system, gains = eccentric_plant(4)
+        rq.solve_stationary_fp_grid(system, gains, 0, 0.1, n_cells=101)
+        assert factored == [((101**2 + 1) // 2, (101**2 + 1) // 2)]
+
+    def test_1d_tail_is_exact_to_round_off(self, scalar_two_channel):
+        # the bundled scalar system: mode 0 (a = -3) on the box of mode 1
+        # (a = -1), as the grid route shares it, reaches ~10 standard
+        # deviations; the fitted flux is exact in 1-D, so the solve should
+        # match the discrete Gaussian wherever the law is resolvable
+        system, gains = scalar_two_channel
+        box = rq.default_stationary_box(system, gains, 1, 0.1)
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1, box=box)
+        exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), box).values
+        resolvable = exact > 1e-13 * exact.max()
+        assert resolvable.sum() > 0.7 * box.n[0]
+        rel = np.abs(solved.values - exact)[resolvable] / exact[resolvable]
+        assert rel.max() <= 1e-10
 
     def test_disconnected_operator_raises_non_unique(self, ou_system):
         # two decoupled zero-flux blocks: a two-dimensional null space that a
