@@ -48,7 +48,6 @@ from .stochastic_engine import (
     default_sim_params,
     default_stationary_box,
     empirical_density,
-    euler_endpoints,
     fp_residual,
     sample_box,
     simulate_sde,

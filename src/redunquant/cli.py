@@ -62,6 +62,7 @@ from .system_model import (
     DiagAffineDiffusion,
     GainSet,
     MultiChannelSystem,
+    _check_compatible,
 )
 
 COMMANDS = ("verify", "synth", "redundancy", "sweep-eps", "sweep-time", "simulate", "fp-grid")
@@ -211,11 +212,7 @@ def _parse_gains(raw, system: MultiChannelSystem) -> tuple[GainSet | None, str |
         _fail("gains", "expected a list of gain matrices or a synth report path")
     K = [_array(Ki, f"gains[{i}]", 2) for i, Ki in enumerate(matrices)]
     gains = _build("gains", GainSet, K)
-    if gains.n_channels != system.n_channels:
-        _fail("gains", f"{gains.n_channels} gains for {system.n_channels} channels")
-    for i, (Ki, Bi) in enumerate(zip(gains.K, system.B)):
-        if Ki.shape != (Bi.shape[1], system.d):
-            _fail("gains", f"gains[{i}] has shape {Ki.shape}, expected {(Bi.shape[1], system.d)}")
+    _build("gains", _check_compatible, system, gains)
     return gains, source
 
 

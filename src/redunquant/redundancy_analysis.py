@@ -181,6 +181,13 @@ def systemic_redundancy(
     )
 
 
+def _hull(boxes: list[Box]) -> Box:
+    """Smallest box covering ``boxes``, on the cell counts of the first."""
+    return Box(
+        np.min([b.lo for b in boxes], axis=0), np.max([b.hi for b in boxes], axis=0), boxes[0].n
+    )
+
+
 def _stationary_redundancy(
     sys: MultiChannelSystem,
     gains: GainSet,
@@ -247,13 +254,9 @@ def _stationary_redundancy(
             corners = np.array(list(itertools.product(*zip(grid_box.lo, grid_box.hi)))) @ U
             grid_box = Box(corners.min(axis=0), corners.max(axis=0), grid_box.n)
     if grid_box is None:
-        boxes = [
-            default_stationary_box(sys, gains, j, eps, n_cells=grid_cells)
-            for j in range(n + 1)
-        ]
-        lo = np.min([b.lo for b in boxes], axis=0)
-        hi = np.max([b.hi for b in boxes], axis=0)
-        grid_box = Box(lo, hi, boxes[0].n)
+        grid_box = _hull(
+            [default_stationary_box(sys, gains, j, eps, n_cells=grid_cells) for j in range(n + 1)]
+        )
     densities = [
         solve_stationary_fp_grid(sys, gains, j, eps, box=grid_box) for j in range(n + 1)
     ]
@@ -428,13 +431,9 @@ def _flow_redundancy(
     if grid_cells is None:
         grid_cells = 801 if sys.d == 1 else 101
     if box is None:
-        boxes = [
-            default_transport_box(sys, gains, j, rho0, t, n=grid_cells)
-            for j in range(n + 1)
-        ]
-        lo = np.min([b.lo for b in boxes], axis=0)
-        hi = np.max([b.hi for b in boxes], axis=0)
-        box = Box(lo, hi, np.full(sys.d, grid_cells))
+        box = _hull(
+            [default_transport_box(sys, gains, j, rho0, t, n=grid_cells) for j in range(n + 1)]
+        )
     points = box.center_points()
     masses = []
     densities = []

@@ -6,8 +6,8 @@ Three routes produce the stationary law of
 * ``stationary_gaussian`` — exact, for constant sigma (a Lyapunov solve);
 * ``simulate_sde`` + ``empirical_density`` — Euler-Maruyama Monte
   Carlo. For constant sigma the Euler endpoint is an exact Gaussian,
-  drawn directly from one RNG stream (``euler_endpoints``); diag_affine
-  paths are stepped through the recursion with per-path keyed streams;
+  drawn directly from one RNG stream; diag_affine paths are stepped
+  through the recursion with per-path keyed streams;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
@@ -152,34 +152,6 @@ def default_sim_params(
     return horizon, dt
 
 
-def _euler_setup(sys, gains, mode, eps, horizon, dt, n_paths, seed, x0):
-    """Validated (eps, dt, n_steps, seed, A_j, x0) of an Euler-Maruyama run."""
-    eps = float(eps)
-    dt = float(dt)
-    horizon = float(horizon)
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise DomainError(f"eps must be a nonnegative real, got {eps!r}")
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise DomainError(f"dt must be positive, got {dt!r}")
-    if horizon < dt:
-        raise DomainError("horizon must be at least one step")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError("seed must be nonnegative")
-
-    A_j = closed_loop_matrix(sys, gains, mode)
-    n_steps = max(1, int(round(horizon / dt)))
-    if x0 is None:
-        x0 = np.zeros(sys.d)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != sys.d:
-            raise DimensionError(f"x0 has dimension {x0.size}, expected {sys.d}")
-    return eps, dt, n_steps, seed, A_j, x0
-
-
 def _diverged(x: np.ndarray) -> np.ndarray:
     """Rows of x that are non-finite or beyond the divergence limit."""
     return ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > _DIVERGENCE_LIMIT)
@@ -198,30 +170,87 @@ def simulate_sde(
 ) -> SampleSet:
     """Euler-Maruyama endpoints of n_paths trajectories of the perturbed loop.
 
-    For constant sigma the endpoint is an exact Gaussian, so this returns
-    ``euler_endpoints``: one RNG stream seeded by ``seed``, row i for path
-    i. For diag_affine sigma every path is stepped. Path i draws its noise
-    from its own stream keyed by (seed, i), so the result does not depend
-    on batching, execution order or thread count. Paths run in blocks with
-    one noise buffer each, of at most ``_MAX_NOISE_ELEMENTS`` doubles: a
-    chunk of ``_CHUNK_STEPS // m`` steps, i.e. ``_CHUNK_STEPS`` normals per
-    path. The fill pool draws the chunk of every stream into it, then the
-    calling thread steps it; the two are not overlapped, because the
-    step's small ufuncs and the fill threads contend for the GIL. Each
-    step ``x <- M x + (amp base + amp slope |x|) xi`` (``M = I + dt A_j``,
-    ``amp = eps sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
-    Any state with |x| > 1e12 (or a non-finite value) at the end of a
-    chunk aborts with DivergenceError carrying the offending path index.
+    The recursion ``x_{k+1} = M x_k + eps sqrt(dt) sigma(x_k) xi_k`` with
+    ``M = I + dt A_j`` runs ``n = round(horizon/dt)`` steps from x0 (zero
+    by default). Two samplers draw its endpoint:
+
+    * constant sigma = S: the endpoint is exactly ``N(M^n x0, C_n)``,
+      ``C_n = sum_{j<n} M^j E E^T M^j^T`` with ``E = eps sqrt(dt) S``
+      (``euler_endpoint_law``), so it is drawn directly with d normals per
+      path instead of n*m. The normals come from one SFC64 stream seeded
+      by ``seed`` as one (n_paths, d) block, row i for path i, so the
+      first k paths do not depend on ``n_paths``; the endpoints are those
+      rows times a Cholesky factor of C_n (positive definite for eps > 0,
+      since C_n >= E E^T and S S^T is elliptic). eps = 0 returns
+      ``M^n x0`` exactly.
+    * diag_affine sigma: every path is stepped. Path i draws its noise
+      from its own stream keyed by (seed, i), so the result does not
+      depend on batching, execution order or thread count. Paths run in
+      blocks with one noise buffer each, of at most
+      ``_MAX_NOISE_ELEMENTS`` doubles: a chunk of ``_CHUNK_STEPS // m``
+      steps, i.e. ``_CHUNK_STEPS`` normals per path. The fill pool draws
+      the chunk of every stream into it, then the calling thread steps
+      it; the two are not overlapped, because the step's small ufuncs and
+      the fill threads contend for the GIL. Each step
+      ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
+      sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
+
+    Divergence: a state with |x| > 1e12, or a non-finite one, raises
+    DivergenceError carrying the first offending path index. The direct
+    draw checks the endpoint; the stepped sampler checks at the end of
+    every chunk.
     """
-    if isinstance(sys.sigma, ConstantDiffusion):
-        return euler_endpoints(sys, gains, mode, eps, horizon, dt, n_paths, seed, x0)
-    eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
-        sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
-    )
+    eps = float(eps)
+    dt = float(dt)
+    horizon = float(horizon)
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"eps must be a nonnegative real, got {eps!r}")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise DomainError(f"dt must be positive, got {dt!r}")
+    if horizon < dt:
+        raise DomainError("horizon must be at least one step")
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
+    A_j = closed_loop_matrix(sys, gains, mode)
+    n_steps = max(1, int(round(horizon / dt)))
+    if x0 is None:
+        x0 = np.zeros(sys.d)
+    else:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.size != sys.d:
+            raise DimensionError(f"x0 has dimension {x0.size}, expected {sys.d}")
     d = sys.d
-    m = sys.sigma.m
     amp = eps * np.sqrt(dt)
     step_map = np.eye(d) + dt * A_j
+
+    if isinstance(sys.sigma, ConstantDiffusion):
+        noise_gain = amp * sys.sigma.matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, cov = euler_endpoint_law(step_map, noise_gain @ noise_gain.T, n_steps)
+            samples = np.tile(power @ x0, (n_paths, 1))
+            if eps > 0.0:
+                try:
+                    chol = np.linalg.cholesky(cov)  # non-finite in, non-finite out
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(
+                        f"endpoint covariance is not positive definite in floating point: {exc}"
+                    ) from exc
+                rng = np.random.Generator(np.random.SFC64(seed))
+                samples += rng.standard_normal((n_paths, d)) @ chol.T
+        bad = _diverged(samples)
+        if np.any(bad):
+            idx = int(np.argmax(bad))
+            raise DivergenceError(
+                f"endpoint {idx} diverged after {n_steps} steps "
+                "(non-Hurwitz mode or dt too large?)",
+                path_index=idx,
+            )
+        return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
+
+    m = sys.sigma.m
     amp_base = amp * sys.sigma.base[:, None]
     amp_slope = amp * sys.sigma.slope[:, None]
 
@@ -297,67 +326,6 @@ def euler_endpoint_law(M: np.ndarray, Q: np.ndarray, n: int) -> tuple[np.ndarray
             cov = Q + M @ cov @ M.T
             power = M @ power
     return power, 0.5 * (cov + cov.T)
-
-
-def euler_endpoints(
-    sys: MultiChannelSystem,
-    gains: GainSet,
-    mode: int,
-    eps: float,
-    horizon: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-    x0: np.ndarray | None = None,
-) -> SampleSet:
-    """Exact draws of the Euler-Maruyama endpoint, for constant sigma.
-
-    With ``M = I + dt A_j`` and ``E = eps sqrt(dt) S``, the Euler recursion
-    ``x_{k+1} = M x_k + E xi_k`` ends after ``n = round(horizon/dt)`` steps
-    at ``N(M^n x0, C_n)`` with ``C_n = sum_{j<n} M^j E E^T M^j^T``
-    (``euler_endpoint_law``), so this samples the law of the stepped
-    recursion with d normals per path instead of n*m; ``simulate_sde``
-    returns it for constant sigma. The normals come from one SFC64 stream
-    seeded by ``seed`` as one (n_paths, d) block, row i for path i, so the
-    first k paths do not depend on ``n_paths``; the endpoints are those
-    rows times a Cholesky factor of C_n (positive definite for eps > 0,
-    since C_n >= E E^T and S S^T is elliptic). eps = 0 returns ``M^n x0``
-    exactly. Arguments and validation are those of ``simulate_sde``. Its
-    divergence contract is checked at the endpoint only: a non-finite
-    endpoint, or one with |x| > 1e12, raises DivergenceError carrying the
-    first such path index.
-    """
-    if not isinstance(sys.sigma, ConstantDiffusion):
-        raise UnsupportedDiffusionError(
-            "exact endpoint sampling requires constant sigma; use simulate_sde"
-        )
-    eps, dt, n_steps, seed, A_j, x0 = _euler_setup(
-        sys, gains, mode, eps, horizon, dt, n_paths, seed, x0
-    )
-    noise_gain = (eps * np.sqrt(dt)) * sys.sigma.matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        power, cov = euler_endpoint_law(
-            np.eye(sys.d) + dt * A_j, noise_gain @ noise_gain.T, n_steps
-        )
-        samples = np.tile(power @ x0, (n_paths, 1))
-        if eps > 0.0:
-            try:
-                chol = np.linalg.cholesky(cov)  # non-finite in, non-finite out
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"endpoint covariance is not positive definite in floating point: {exc}"
-                ) from exc
-            rng = np.random.Generator(np.random.SFC64(seed))
-            samples += rng.standard_normal((n_paths, sys.d)) @ chol.T
-    bad = _diverged(samples)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise DivergenceError(
-            f"endpoint {idx} diverged after {n_steps} steps "
-            "(non-Hurwitz mode or dt too large?)",
-            path_index=idx,
-        )
-    return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 
 def sample_box(sample_sets, n_cells: int) -> Box:

@@ -18,19 +18,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .densities import _frozen_array
 from .errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 
 _KAPPA_FLOOR = 1e-12
-
-
-def _frozen_matrix(value, name: str) -> np.ndarray:
-    out = np.array(value, dtype=float)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-d matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{name} contains non-finite entries")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +35,7 @@ class ConstantDiffusion:
     matrix: np.ndarray
 
     def __post_init__(self):
-        S = _frozen_matrix(self.matrix, "S")
+        S = _frozen_array(self.matrix, ndim=2, name="S")
         kappa = float(np.linalg.eigvalsh(S @ S.T).min())
         if kappa <= _KAPPA_FLOOR:
             raise DomainError(
@@ -128,13 +119,13 @@ class MultiChannelSystem:
     sigma: DiffusionSpec
 
     def __init__(self, A, B: Sequence, sigma: DiffusionSpec):
-        A = _frozen_matrix(A, "A")
+        A = _frozen_array(A, ndim=2, name="A")
         if A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
         d = A.shape[0]
         Bs = []
         for i, Bi in enumerate(B):
-            Bi = _frozen_matrix(Bi, f"B[{i}]")
+            Bi = _frozen_array(Bi, ndim=2, name=f"B[{i}]")
             if Bi.shape[0] != d:
                 raise DimensionError(
                     f"B[{i}] has {Bi.shape[0]} rows, expected {d}"
@@ -172,7 +163,7 @@ class GainSet:
     K: tuple[np.ndarray, ...]
 
     def __init__(self, K: Sequence):
-        Ks = tuple(_frozen_matrix(Ki, f"K[{i}]") for i, Ki in enumerate(K))
+        Ks = tuple(_frozen_array(Ki, ndim=2, name=f"K[{i}]") for i, Ki in enumerate(K))
         if not Ks:
             raise DimensionError("at least one gain is required")
         object.__setattr__(self, "K", Ks)

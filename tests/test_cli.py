@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import re
@@ -150,6 +151,12 @@ class TestParseConfig:
             ),
             ("rho0", {"mean": [0.0], "cov": [[1.0]], "mea": [0.0]}, "rho0.mea"),
             ("grid", {"lo": [-1.0], "hi": [1.0], "n_cells": [10], "n_cell": [5]}, "grid.n_cell"),
+            ("epsilon", [], "epsilon"),
+            ("method", "nope", "method"),
+            ("t_list", [], "t_list"),
+            ("t_list", [1.0, -0.5], "t_list"),
+            ("sim", {"horizon": 0}, "sim.horizon"),
+            ("sim", {"dt": -1.0}, "sim.dt"),
         ],
         ids=[
             "n_cells_bool",
@@ -166,10 +173,16 @@ class TestParseConfig:
             "sigma_s_on_constant",
             "rho0_mea",
             "grid_n_cell",
+            "epsilon_empty",
+            "method_unknown",
+            "t_list_empty",
+            "t_list_negative",
+            "horizon_zero",
+            "dt_negative",
         ],
     )
     def test_rejected_at_parse_time(self, tmp_path, key, value, field):
-        # each of these used to pass parse_config and fail later, or not at all
+        # parse_config rejects each of these before any command runs
         with pytest.raises(ConfigValidationError) as err:
             parse_config(write_config(tmp_path, dict(SCALAR_CONFIG, **{key: value})))
         assert err.value.field == field
@@ -200,6 +213,29 @@ class TestParseConfig:
         documented = {name: set(objects[name]) for name in cli._KEYS}
         documented["sigma"] = {form["type"]: set(form) for form in sigmas}
         assert documented == cli._KEYS
+
+    def test_readme_quick_start_runs(self):
+        # the library quick start runs as printed, and each annotated
+        # expression gives the value of its comment at the printed precision
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## Library quick start\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        namespace, shown = {}, []
+        for stmt in ast.parse(block).body:
+            source = ast.get_source_segment(block, stmt)
+            if not isinstance(stmt, ast.Expr):
+                exec(source, namespace)
+                continue
+            printed = lines[stmt.end_lineno - 1].split("#", 1)[1].strip().split(" bits")[0]
+            value = eval(source, namespace)
+            if printed.startswith("["):
+                text = np.array2string(np.asarray(value), separator=", ")
+            else:
+                text = f"{value:.{len(printed.split('.')[1])}f}"
+            assert text == printed
+            shown.append(printed)
+        assert shown == ["[-3., -1., -1.]", "2.8924", "1.7000"]
 
     def test_readme_cli_section_matches_parser(self):
         # a command, option or choice must appear in the README's usage block
@@ -719,12 +755,21 @@ class TestExitCodes:
                 {"sim": {"n_paths": 2000}, "grid": {"lo": [0.07], "hi": [1.0], "n_cells": [10]}},
                 "fell outside the box; enlarge it",
             ),
+            (["verify"], {"gains": [[[-2.0]]]}, "config field 'gains': gain set has 1 channels"),
+            (["redundancy"], {"epsilon": [0.1, 0.2]}, "config field 'epsilon': this command needs"),
+            (["sweep-eps"], {"epsilon": None}, "config field 'epsilon': sweep-eps needs"),
+            (["sweep-time"], {"t_list": None}, "config field 't_list': sweep-time needs"),
         ],
-        ids=["closed_form_diag_affine", "grid_d3", "monte_carlo_d3", "fp_grid_d3", "simulate_box"],
+        ids=[
+            "closed_form_diag_affine", "grid_d3", "monte_carlo_d3", "fp_grid_d3", "simulate_box",
+            "gains_too_few", "redundancy_epsilon_list", "sweep_eps_no_epsilon",
+            "sweep_time_no_t_list",
+        ],
     )
     def test_unsupported_configuration_exit1(self, tmp_path, argv, config, message, capsys):
-        # the route cannot take the configuration: exit 1, not a numerical failure
-        payload = dict(SCALAR_CONFIG, **config)
+        # the command cannot take the configuration: exit 1, not a numerical
+        # failure; a None value leaves the key out of the config
+        payload = {k: v for k, v in dict(SCALAR_CONFIG, **config).items() if v is not None}
         out = tmp_path / "new"
         code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1

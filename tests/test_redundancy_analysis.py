@@ -6,7 +6,7 @@ import pytest
 import redunquant as rq
 from redunquant.errors import DomainError, NotReliableError, UnsupportedDiffusionError
 from redunquant.info_measures import grid_entropy
-from redunquant.redundancy_analysis import _solver_kl
+from redunquant.redundancy_analysis import _direction, _solver_kl
 
 from .conftest import eccentric_plant, random_system
 from .oracles import entropy_quad_bits, kl_quad_bits, normal_pdf
@@ -404,6 +404,21 @@ class TestEpsilonSweep:
             assert pair["scaling_law_residual"] == pytest.approx(0.0, abs=1e-9)
         implied = table.notes["implied_r_at_unit_noise"]
         assert max(implied) - min(implied) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "values, direction",
+        [
+            ([1.0, math.inf, math.nan], "undetermined"),
+            ([1.0, 2.0, 2.0], "nondecreasing"),
+            ([3.0, math.inf, 2.0, 2.0], "nonincreasing"),
+            ([1.5, 1.5, 1.5], "constant"),
+            ([1.0, 3.0, 2.0], "nonmonotone"),
+        ],
+        ids=["undetermined", "nondecreasing", "nonincreasing", "constant", "nonmonotone"],
+    )
+    def test_observed_direction(self, values, direction):
+        # non-finite r values are left out of the comparison
+        assert _direction(values) == direction
 
     def test_input_order_does_not_matter(self, scalar_two_channel):
         system, gains = scalar_two_channel

@@ -193,17 +193,24 @@ class TestSimulate:
         np.testing.assert_allclose(a.samples, b, atol=1e-12)
 
     def test_constant_sigma_draws_exact_endpoints(self):
+        # the direct draw, rebuilt from its parts: the endpoint law, a
+        # Cholesky factor and one SFC64 stream seeded by seed, row i for path i
         A = np.array([[-1.0, 0.3], [-0.2, -1.5]])
         S = np.array([[1.0, 0.4], [0.0, 0.9]])
         system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(S))
         gains = rq.GainSet([np.zeros((1, 2))])
+        eps, dt, n_paths, seed = 0.8, 1e-2, 300, 11
+        noise_gain = (eps * np.sqrt(dt)) * S
+        power, cov = euler_endpoint_law(
+            np.eye(2) + dt * rq.closed_loop_matrix(system, gains, 0), noise_gain @ noise_gain.T, 300
+        )
+        draw = np.random.Generator(np.random.SFC64(seed)).standard_normal((n_paths, 2))
+        kick = draw @ np.linalg.cholesky(cov).T
         for x0 in (None, [0.5, -0.25]):
-            out = rq.simulate_sde(system, gains, 0, 0.8, 3.0, 1e-2, 300, 11, x0=x0)
-            exact = rq.euler_endpoints(system, gains, 0, 0.8, 3.0, 1e-2, 300, 11, x0=x0)
-            assert np.array_equal(out.samples, exact.samples)
-            assert (out.t_final, out.dt, out.seed, out.mode) == (
-                exact.t_final, exact.dt, exact.seed, exact.mode
-            )
+            out = rq.simulate_sde(system, gains, 0, eps, 3.0, dt, n_paths, seed, x0=x0)
+            start = np.zeros(2) if x0 is None else np.array(x0)
+            np.testing.assert_array_equal(out.samples, np.tile(power @ start, (n_paths, 1)) + kick)
+            assert (out.t_final, out.dt, out.seed, out.mode) == (300 * dt, dt, seed, 0)
 
     def test_validation(self, ou_system):
         system, gains = ou_system
@@ -290,16 +297,16 @@ class TestEulerEndpoints:
 
     def test_determinism(self, ou_system):
         system, gains = ou_system
-        a = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
-        b = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
+        a = rq.simulate_sde(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
+        b = rq.simulate_sde(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=9)
         assert np.array_equal(a.samples, b.samples)
-        c = rq.euler_endpoints(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=10)
+        c = rq.simulate_sde(system, gains, 0, 1.0, 2.0, 1e-2, 500, seed=10)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_path_prefix_independent_of_n_paths(self, ou_system):
         system, gains = ou_system
-        small = rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 1e-2, 40, seed=3)
-        large = rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 1e-2, 160, seed=3)
+        small = rq.simulate_sde(system, gains, 0, 1.0, 1.0, 1e-2, 40, seed=3)
+        large = rq.simulate_sde(system, gains, 0, 1.0, 1.0, 1e-2, 160, seed=3)
         assert np.array_equal(large.samples[:40], small.samples)
 
     def test_zero_noise_is_mean_map(self):
@@ -307,31 +314,15 @@ class TestEulerEndpoints:
         system = rq.MultiChannelSystem(A, [np.zeros((2, 1))], rq.ConstantDiffusion(np.eye(2)))
         gains = rq.GainSet([np.zeros((1, 2))])
         x0 = np.array([2.0, -1.0])
-        out = rq.euler_endpoints(system, gains, 0, 0.0, 1.0, 1e-3, 3, seed=1, x0=x0)
+        out = rq.simulate_sde(system, gains, 0, 0.0, 1.0, 1e-3, 3, seed=1, x0=x0)
         expected = np.linalg.matrix_power(np.eye(2) + 1e-3 * A, 1000) @ x0
         np.testing.assert_allclose(out.samples, np.tile(expected, (3, 1)), rtol=1e-12)
 
     def test_divergence(self):
         system = rq.MultiChannelSystem([[2.0]], [[[1.0]]], rq.ConstantDiffusion([[1.0]]))
         with pytest.raises(DivergenceError) as err:
-            rq.euler_endpoints(system, rq.GainSet([[[0.0]]]), 0, 1.0, 30.0, 1e-2, 5, seed=2)
+            rq.simulate_sde(system, rq.GainSet([[[0.0]]]), 0, 1.0, 30.0, 1e-2, 5, seed=2)
         assert 0 <= err.value.path_index < 5
-
-    def test_diag_affine_unsupported(self):
-        system = rq.MultiChannelSystem(
-            [[-1.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.0])
-        )
-        with pytest.raises(UnsupportedDiffusionError):
-            rq.euler_endpoints(system, rq.GainSet([[[0.0]]]), 0, 1.0, 1.0, 1e-2, 10, seed=1)
-
-    def test_validation(self, ou_system):
-        system, gains = ou_system
-        with pytest.raises(DomainError):
-            rq.euler_endpoints(system, gains, 0, 1.0, 0.5, -0.1, 10, seed=1)
-        with pytest.raises(DomainError):
-            rq.euler_endpoints(system, gains, 0, 1.0, 0.005, 0.01, 10, seed=1)
-        with pytest.raises(DomainError):
-            rq.euler_endpoints(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
 
     def test_covariance_matches_stepped_sampler(self):
         # both samplers target the law of the same Euler endpoint: the
@@ -344,7 +335,7 @@ class TestEulerEndpoints:
         )
         gains = rq.GainSet([np.zeros((1, 2))])
         n = 10_000
-        exact = rq.euler_endpoints(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
+        exact = rq.simulate_sde(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
         stepped = rq.simulate_sde(twin, gains, 0, 1.0, 5.0, 1e-2, n, seed=17).samples
         _, law = euler_endpoint_law(np.eye(2) + 1e-2 * A, 1e-2 * S @ S.T, 500)
         var = np.diag(law)
@@ -689,3 +680,11 @@ class TestGridSolver:
         L = _assemble_fv_operator(system, np.array([[-1.0]]), 1.0, box)
         with pytest.raises(NonUniqueError):
             _pinned_null_vector(scipy.sparse.block_diag([L, L], format="csc"), 100)
+
+    def test_exactly_singular_factor_raises_non_unique(self):
+        # two decoupled two-cell pairs: pinning a cell of the first leaves
+        # the second pair's rows exactly dependent, so splu itself reports
+        # the factor singular
+        pair = scipy.sparse.csc_matrix([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(NonUniqueError, match="pivot ratio 0.000e"):
+            _pinned_null_vector(scipy.sparse.block_diag([pair, pair], format="csc"), 0)
