@@ -1,6 +1,8 @@
 """redunquant: redundancy quantification for reliable multi-channel systems."""
 
-from .densities import Box, GaussianDensity, GridDensity, UniformBoxDensity
+from types import ModuleType as _ModuleType
+
+from .densities import Box, GaussianDensity, GridDensity
 from .errors import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -21,7 +23,6 @@ from .errors import (
 from .info_measures import gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
 from .liouville_flow import (
     QuadratureResult,
-    density_at,
     default_transport_box,
     integrate_density,
     pushforward_gaussian,
@@ -65,4 +66,9 @@ from .system_model import (
     spectral_abscissa,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules those imports bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

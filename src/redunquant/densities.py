@@ -2,8 +2,9 @@
 
 These types are shared by the transport, sampling and information-measure
 modules: Gaussian densities carry the closed-form paths, grid densities
-carry every numerical path, and ``Box`` fixes the uniform-grid geometry
-used by histograms, quadrature and the stationary solver.
+carry every numerical path (a uniform density on a box is the one-cell
+grid density on it), and ``Box`` fixes the uniform-grid geometry used by
+histograms, quadrature and the stationary solver.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ class Box:
     def __post_init__(self):
         lo = _frozen_array(self.lo, ndim=1, name="lo")
         hi = _frozen_array(self.hi, ndim=1, name="hi")
-        n = np.array(self.n, dtype=int)
-        if n.ndim != 1:
-            raise DimensionError(f"n must be 1-dimensional, got shape {n.shape}")
-        n.setflags(write=False)
+        n = _frozen_array(self.n, dtype=int, ndim=1, name="n")
         if not (lo.shape == hi.shape == n.shape):
             raise DimensionError("lo, hi and n must have equal lengths")
         if np.any(hi <= lo):
@@ -154,38 +152,6 @@ class GaussianDensity:
 
 
 @dataclass(frozen=True, eq=False)
-class UniformBoxDensity:
-    """Uniform density on an axis-aligned box (closed on all faces)."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = _frozen_array(self.lo, ndim=1, name="lo")
-        hi = _frozen_array(self.hi, ndim=1, name="hi")
-        if lo.shape != hi.shape:
-            raise DimensionError("lo and hi must have equal lengths")
-        if np.any(hi <= lo):
-            raise DomainError("uniform support must satisfy hi > lo")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def pdf(self, x) -> np.ndarray | float:
-        pts, single = _as_points(x, self.dim)
-        inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-        out = np.where(inside, 1.0 / self.volume, 0.0)
-        return float(out[0]) if single else out
-
-
-@dataclass(frozen=True, eq=False)
 class GridDensity:
     """Piecewise-constant density on the cells of a :class:`Box`.
 
@@ -197,19 +163,16 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _frozen_array(self.values, name="grid values")
         if values.shape != tuple(self.box.n):
             raise DimensionError(
                 f"values shape {values.shape} does not match grid {tuple(self.box.n)}"
             )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("grid values contain non-finite entries")
         if values.min() < 0.0:
             raise DomainError("grid values must be nonnegative")
         mass = values.sum() * self.box.cell_volume
         if abs(mass - 1.0) > 1e-8:
             raise DomainError(f"grid density mass is {mass!r}, not 1 within 1e-8")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -229,14 +192,14 @@ class GridDensity:
 
     def pdf(self, x) -> np.ndarray | float:
         pts, single = _as_points(x, self.dim)
-        idx = np.floor((pts - self.box.lo) / self.box.cell_widths).astype(int)
+        inside = np.all((pts >= self.box.lo) & (pts <= self.box.hi), axis=1)
+        # index only the points inside: a far or NaN point's cell index
+        # does not fit an int
+        idx = np.floor((pts[inside] - self.box.lo) / self.box.cell_widths).astype(int)
         # points exactly on the upper face belong to the last cell
         idx = np.minimum(idx, self.box.n - 1)
-        inside = np.all((pts >= self.box.lo) & (pts <= self.box.hi), axis=1)
         out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            sel = tuple(idx[inside].T)
-            out[inside] = self.values[sel]
+        out[inside] = self.values[tuple(idx.T)]
         return float(out[0]) if single else out
 
 

@@ -9,7 +9,9 @@ density rho0 transports as
 where A_j is the mode-j closed-loop matrix. The Jacobian factor uses the
 closed-loop trace, which is what keeps total mass constant in time. The
 paper's literal open-loop trace(A) factor only rescales each mode's mass
-by a constant, which ``liouville_redundancy`` records instead.
+by a constant, which ``liouville_redundancy`` records instead. A
+non-Gaussian rho0 is a ``GridDensity``; a uniform start on [lo, hi] is
+``GridDensity.from_unnormalized(Box(lo, hi, [1] * d), np.ones([1] * d))``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .densities import Box, GaussianDensity, GridDensity, UniformBoxDensity
+from .densities import Box, GaussianDensity, GridDensity, _as_points
 from .errors import DimensionError, DomainError
 from .system_model import (
     GainSet,
@@ -27,7 +29,7 @@ from .system_model import (
     matrix_exponential,
 )
 
-GeneralDensity = Union[GaussianDensity, UniformBoxDensity, GridDensity]
+GeneralDensity = Union[GaussianDensity, GridDensity]
 
 _MAX_QUADRATURE_POINTS = 20_000_000
 
@@ -71,25 +73,11 @@ def transported_pdf(
 ) -> np.ndarray:
     """Evaluate the transported density at many points, shape (n, d)."""
     t = _check_time(t)
+    pts, _ = _as_points(points, sys.d)
     A_j = closed_loop_matrix(sys, gains, mode)
     Phi_inv = matrix_exponential(A_j, -t)
-    pulled_back = np.atleast_2d(np.asarray(points, dtype=float)) @ Phi_inv.T
+    pulled_back = pts @ Phi_inv.T
     return np.asarray(rho0.pdf(pulled_back)) * np.exp(-float(np.trace(A_j)) * t)
-
-
-def density_at(
-    sys: MultiChannelSystem,
-    gains: GainSet,
-    mode: int,
-    rho0: GeneralDensity,
-    t: float,
-    x: np.ndarray,
-) -> float:
-    """Transported density at a single point x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != sys.d:
-        raise DimensionError(f"point has dimension {x.size}, expected {sys.d}")
-    return float(transported_pdf(sys, gains, mode, rho0, t, x[None, :])[0])
 
 
 def default_transport_box(
@@ -103,7 +91,7 @@ def default_transport_box(
     """Box covering the transported support (8 sigma for Gaussian rho0).
 
     For a Gaussian the pushforward's own mean/covariance fix the box; for
-    box-supported densities the corners are mapped through the flow and
+    a grid density the corners of its box are mapped through the flow and
     their axis-aligned hull is padded slightly.
     """
     t = _check_time(t)
@@ -113,12 +101,9 @@ def default_transport_box(
         return Box(g_t.mean - spread, g_t.mean + spread, np.full(sys.d, n))
     if sys.d > 12:
         raise DomainError("default box construction supports d <= 12; pass a box explicitly")
-    if isinstance(rho0, UniformBoxDensity):
-        lo0, hi0 = rho0.lo, rho0.hi
-    elif isinstance(rho0, GridDensity):
-        lo0, hi0 = rho0.box.lo, rho0.box.hi
-    else:
+    if not isinstance(rho0, GridDensity):
         raise DomainError(f"unsupported initial density type {type(rho0).__name__}")
+    lo0, hi0 = rho0.box.lo, rho0.box.hi
     A_j = closed_loop_matrix(sys, gains, mode)
     Phi = matrix_exponential(A_j, t)
     corners = np.stack([np.where(mask, hi0, lo0) for mask in np.ndindex(*([2] * sys.d))])

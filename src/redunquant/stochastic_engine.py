@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Box, GaussianDensity, GridDensity
+from .densities import Box, GaussianDensity, GridDensity, _frozen_array
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -72,14 +72,11 @@ class SampleSet:
     mode: int
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] < 1:
+        samples = _frozen_array(self.samples, ndim=2, name="samples")
+        if samples.shape[0] < 1:
             raise DimensionError(f"samples must be a nonempty n x d matrix, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples contain non-finite entries")
         if not (self.dt > 0.0 and self.t_final >= self.dt):
             raise DomainError("need dt > 0 and t_final >= dt")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property

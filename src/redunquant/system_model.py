@@ -73,19 +73,15 @@ class DiagAffineDiffusion:
     slope: np.ndarray
 
     def __post_init__(self):
-        base = np.array(self.base, dtype=float)
-        slope = np.array(self.slope, dtype=float)
-        if base.ndim != 1 or slope.ndim != 1 or base.shape != slope.shape:
+        base = _frozen_array(self.base, ndim=1, name="base")
+        slope = _frozen_array(self.slope, ndim=1, name="slope")
+        if base.shape != slope.shape:
             raise DimensionError("base and slope must be equal-length vectors")
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(slope))):
-            raise DomainError("diffusion coefficients contain non-finite entries")
         if np.any(slope < 0.0):
             raise DomainError("slope entries must be nonnegative")
         kappa = float(base.min()) ** 2 if np.all(base > 0) else 0.0
         if kappa <= _KAPPA_FLOOR:
             raise DomainError("min(base)^2 must exceed 1e-12 for uniform ellipticity")
-        base.setflags(write=False)
-        slope.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "_kappa", kappa)

@@ -42,6 +42,12 @@ def ou_system():
     return system, gains
 
 
+def uniform_start(lo, hi) -> rq.GridDensity:
+    """Uniform density on the box [lo, hi]: the one-cell grid density there."""
+    d = len(lo)
+    return rq.GridDensity.from_unnormalized(rq.Box(lo, hi, [1] * d), np.ones([1] * d))
+
+
 def random_system(rng: np.random.Generator, d: int, n_channels: int, input_dims=None):
     """Random plant with Uniform[-2,2] entries and a well-conditioned noise map."""
     input_dims = input_dims or [int(rng.integers(1, 3)) for _ in range(n_channels)]

@@ -172,6 +172,15 @@ class TestGridEstimators:
         assert rq.grid_kl(q, p) >= 0.0
 
 
+class TestGridDensityType:
+    def test_pdf_is_zero_far_outside_without_warning(self):
+        box = rq.Box([-1.0], [1.0], [4])
+        density = rq.GridDensity(box, np.full(4, 0.5))
+        # a cell index past the int range warns, and pyproject turns warnings into errors
+        far = np.array([[1e300], [np.inf], [-np.inf], [np.nan]])
+        np.testing.assert_array_equal(density.pdf(far), np.zeros(4))
+
+
 class TestGaussianDensityType:
     def test_rejects_asymmetric_cov(self):
         with pytest.raises(DomainError):

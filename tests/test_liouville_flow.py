@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redunquant as rq
+from redunquant.errors import DimensionError, DomainError
 from redunquant.liouville_flow import default_transport_box
 
-from .conftest import random_gains, random_system
+from .conftest import random_gains, random_system, uniform_start
 
 
 def _ou_single(a=-1.0):
@@ -74,17 +75,17 @@ class TestPushforward:
                 assert rq.gaussian_entropy(flowed) == pytest.approx(expected, abs=1e-9)
 
 
-class TestDensityAt:
+class TestTransportedPdf:
     def test_time_zero(self, scalar_two_channel):
         system, gains = scalar_two_channel
-        rho0 = rq.UniformBoxDensity([-1.0], [1.0])
+        rho0 = uniform_start([-1.0], [1.0])
         for x in (-0.5, 0.0, 0.99, 1.5):
-            assert rq.density_at(system, gains, 0, rho0, 0.0, [x]) == rho0.pdf([x])
+            assert rq.transported_pdf(system, gains, 0, rho0, 0.0, [x])[0] == rho0.pdf([x])
 
     def test_uniform_transport_closed_form(self):
         system, gains = _ou_single()
-        rho0 = rq.UniformBoxDensity([-1.0], [1.0])
-        value = rq.density_at(system, gains, 0, rho0, 1.0, [0.0])
+        rho0 = uniform_start([-1.0], [1.0])
+        value = rq.transported_pdf(system, gains, 0, rho0, 1.0, [0.0])[0]
         assert value == pytest.approx(0.5 * np.e, rel=1e-12)
 
     def test_gaussian_paths_agree(self):
@@ -96,7 +97,7 @@ class TestDensityAt:
             flowed = rq.pushforward_gaussian(system, gains, mode, g0, 0.7)
             for _ in range(20):
                 x = rng.uniform(-2.0, 2.0, 2)
-                direct = rq.density_at(system, gains, mode, g0, 0.7, x)
+                direct = rq.transported_pdf(system, gains, mode, g0, 0.7, x)[0]
                 assert direct == pytest.approx(flowed.pdf(x), abs=1e-10)
 
     def test_positivity(self):
@@ -106,6 +107,13 @@ class TestDensityAt:
         for t in (0.0, 0.5, 2.0):
             vals = rq.transported_pdf(system, gains, 0, g0, t, xs[:, None])
             assert np.all(vals > 0.0)
+
+    @pytest.mark.parametrize("points", [np.zeros((3, 2)), np.zeros(2)])
+    def test_wrong_dimension_points_rejected(self, scalar_two_channel, points):
+        system, gains = scalar_two_channel
+        g0 = rq.GaussianDensity([0.0], [[1.0]])
+        with pytest.raises(DimensionError):
+            rq.transported_pdf(system, gains, 0, g0, 0.5, points)
 
 
 class TestIntegrateDensity:
@@ -140,7 +148,7 @@ class TestIntegrateDensity:
 
     def test_uniform_rho0_mass(self):
         system, gains = _ou_single()
-        rho0 = rq.UniformBoxDensity([-1.0], [1.0])
+        rho0 = uniform_start([-1.0], [1.0])
         box = default_transport_box(system, gains, 0, rho0, 1.0, n=2000)
         result = rq.integrate_density(system, gains, 0, rho0, 1.0, box)
         # discontinuous edges limit trapezoid accuracy to O(1/n)
@@ -153,3 +161,11 @@ class TestIntegrateDensity:
         g0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
         result = rq.integrate_density(system, gains, 0, g0, 0.3, None)
         assert result.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_default_box_rejects_d_above_12(self):
+        d = 13
+        system = rq.MultiChannelSystem(-np.eye(d), [np.eye(d)], rq.ConstantDiffusion(np.eye(d)))
+        gains = rq.GainSet([np.zeros((d, d))])
+        rho0 = uniform_start(-np.ones(d), np.ones(d))
+        with pytest.raises(DomainError, match="supports d <= 12"):
+            rq.integrate_density(system, gains, 0, rho0, 0.5)

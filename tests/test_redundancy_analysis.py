@@ -8,7 +8,7 @@ from redunquant.errors import DomainError, NotReliableError, UnsupportedDiffusio
 from redunquant.info_measures import grid_entropy
 from redunquant.redundancy_analysis import _direction, _solver_kl
 
-from .conftest import eccentric_plant, random_system
+from .conftest import eccentric_plant, random_system, uniform_start
 from .oracles import entropy_quad_bits, kl_quad_bits, normal_pdf
 
 # closed-form values for the scalar two-channel configuration
@@ -28,6 +28,15 @@ ENTROPY_SCALAR_EPS_01 = -2.5673137600672993
 #       -> 3.1660347340553545
 R_FLOW_T0 = -2.047095585180641
 R_FLOW_T05 = 1.6999643431804814
+
+
+class AnalyticStart:
+    """Full-support evaluator of a Gaussian's pdf: neither a Gaussian nor a
+    grid start, so it skips the closed path and has no default box."""
+
+    def __init__(self, g: rq.GaussianDensity):
+        self.dim = g.dim
+        self.pdf = g.pdf
 
 
 class TestSystemicRedundancy:
@@ -280,18 +289,24 @@ class TestLiouvilleRedundancy:
         rho0 = rq.GaussianDensity([0.0], [[1.0]])
         closed = rq.liouville_redundancy(system, gains, rho0, 0.3)
         assert closed.method == "closed_form"
-
-        class AnalyticStart:  # full-support evaluator that skips the closed path
-            dim = 1
-
-            def pdf(self, x):
-                return rho0.pdf(x)
-
         numeric = rq.liouville_redundancy(
-            system, gains, AnalyticStart(), 0.3, box=rq.Box([-8.0], [8.0], [2001])
+            system, gains, AnalyticStart(rho0), 0.3, box=rq.Box([-8.0], [8.0], [2001])
         )
         assert numeric.method == "grid"
         assert numeric.r == pytest.approx(closed.r, abs=5e-3)
+
+    def test_unsupported_start_needs_a_box(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        start = AnalyticStart(rq.GaussianDensity([0.0], [[1.0]]))
+        with pytest.raises(DomainError, match="unsupported initial density type"):
+            rq.liouville_redundancy(system, gains, start, 0.3)
+
+    def test_uniform_start_at_late_time_gives_infinite_r(self, scalar_two_channel):
+        # at t = 25 the nominal pull-back e^{75} sends the shared box's outer
+        # cells ~1e21 cell widths outside the start's one cell
+        system, gains = scalar_two_channel
+        report = rq.liouville_redundancy(system, gains, uniform_start([-1.0], [1.0]), 25.0)
+        assert report.r == math.inf
 
     def test_truncated_start_gives_honest_sentinel(self, scalar_two_channel):
         # a grid-sampled start has compact support; the failure-mode flow
@@ -322,16 +337,10 @@ class TestLiouvilleRedundancy:
         assert literal.provenance["raw_masses"] == pytest.approx(drift, rel=1e-12)
         assert literal.r == plain.r
 
-        class AnalyticStart:  # full-support evaluator that skips the closed path
-            dim = 1
-
-            def pdf(self, x):
-                return rho0.pdf(x)
-
         box = rq.Box([-8.0], [8.0], [2001])
-        plain = rq.liouville_redundancy(system, gains, AnalyticStart(), t, box=box)
+        plain = rq.liouville_redundancy(system, gains, AnalyticStart(rho0), t, box=box)
         literal = rq.liouville_redundancy(
-            system, gains, AnalyticStart(), t, box=box, paper_literal_jacobian=True
+            system, gains, AnalyticStart(rho0), t, box=box, paper_literal_jacobian=True
         )
         assert literal.method == "grid"
         assert literal.provenance["paper_literal_jacobian"] is True

@@ -47,6 +47,21 @@ class TestTypes:
         with pytest.raises(DomainError):
             rq.DiagAffineDiffusion([1.0, 1.0], [-0.1, 0.0])
 
+    @pytest.mark.parametrize(
+        "base, slope, error",
+        [
+            ([[1.0]], [0.5], DimensionError),
+            ([1.0, 1.0], [0.5], DimensionError),
+            ([1.0, np.nan], [0.5, 0.5], DomainError),
+            ([1.0], [-0.1], DomainError),
+            ([0.0], [0.5], DomainError),
+        ],
+        ids=["2d_base", "unequal_lengths", "nan", "negative_slope", "zero_base"],
+    )
+    def test_diag_affine_rejects_malformed(self, base, slope, error):
+        with pytest.raises(error):
+            rq.DiagAffineDiffusion(base, slope)
+
     def test_immutable_arrays(self, scalar_two_channel):
         system, gains = scalar_two_channel
         with pytest.raises(ValueError):
