@@ -181,16 +181,20 @@ def simulate_sde(
       since C_n >= E E^T and S S^T is elliptic). eps = 0 returns
       ``M^n x0`` exactly.
     * diag_affine sigma: every path is stepped. Path i draws its noise
-      from its own stream keyed by (seed, i), so the result does not
-      depend on batching, execution order or thread count. Paths run in
-      blocks with one noise buffer each, of at most
-      ``_MAX_NOISE_ELEMENTS`` doubles: a chunk of ``_CHUNK_STEPS // m``
-      steps, i.e. ``_CHUNK_STEPS`` normals per path. The fill pool draws
-      the chunk of every stream into it, then the calling thread steps
-      it; the two are not overlapped, because the step's small ufuncs and
-      the fill threads contend for the GIL. Each step
+      from its own stream keyed by (seed, i), so its noise does not
+      depend on batching, execution order or thread count. Neither does
+      its endpoint, except that at d >= 2 a block of one path is stepped
+      by BLAS's matrix-vector kernel, which can round differently.
+      Paths run in blocks with one noise buffer each, of at most
+      ``_MAX_NOISE_ELEMENTS`` normals: a chunk of ``_CHUNK_STEPS // m``
+      steps (at least one), i.e. ``_CHUNK_STEPS`` normals per path for
+      m <= ``_CHUNK_STEPS``. The fill pool draws the chunk of every stream
+      into it, then the calling thread steps it; the two are not
+      overlapped, because the step's small ufuncs and the fill threads
+      contend for the GIL. Each step
       ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
-      sqrt(dt)``) runs in place on preallocated (d, nb) buffers.
+      sqrt(dt)``) runs in place on preallocated (d, nb) buffers, and
+      reads its noise as an (m, nb) strided view of the buffer.
 
     Divergence: a state with |x| > 1e12, or a non-finite one, raises
     DivergenceError carrying the first offending path index. The direct
@@ -248,33 +252,37 @@ def simulate_sde(
         return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
     m = sys.sigma.m
-    amp_base = amp * sys.sigma.base[:, None]
-    amp_slope = amp * sys.sigma.slope[:, None]
 
     def advance(x, noise):
-        # the state is stepped as (d, nb) so every broadcast runs along
-        # the paths, not along a length-d inner axis
+        # the state is stepped as (d, nb) so every operand runs along
+        # the paths, not along a length-d inner axis; the amplitudes are
+        # spread to (d, nb) too, since an in-place ufunc that broadcasts a
+        # (d, 1) operand takes about twice as long as one on equal shapes
         x = np.ascontiguousarray(x.T)
         y = np.empty_like(x)
         kick = np.empty_like(x)
-        for k in range(noise.shape[1]):
+        slope = np.repeat(amp * sys.sigma.slope[:, None], x.shape[1], axis=1)
+        base = np.repeat(amp * sys.sigma.base[:, None], x.shape[1], axis=1)
+        for xi in noise.reshape(len(noise), -1, m).transpose(1, 2, 0):
             np.abs(x, out=kick)
-            kick *= amp_slope
-            kick += amp_base
-            kick *= noise[:, k].T
+            kick *= slope
+            kick += base
+            kick *= xi
             np.matmul(step_map, x, out=y)
             y += kick
             x, y = y, x
         return x.T
 
     # One noise buffer per path block: the pool fills it, then this thread
-    # steps it. Filling the next chunk while stepping this one would take a
-    # second buffer and saves little time: each small ufunc of the
-    # diag_affine step releases the GIL, a fill thread takes it between
-    # paths, and a d=2 chunk that steps in ~45 ms alone takes 50-136 ms
-    # beside one or two fill threads. Every chunk holds _CHUNK_STEPS
-    # normals per path, whatever m.
-    span = min(_CHUNK_STEPS // m, n_steps)
+    # steps it. Filling the next chunk while stepping this one saves
+    # nothing: each small ufunc of the step releases the GIL and a fill
+    # thread takes it between paths, so a d=2 chunk of 1000 paths that
+    # steps in ~20 ms alone takes 22-121 ms beside one or two fill threads,
+    # and two half-size buffers filled in turn were no faster. Path i's
+    # chunk is the prefix of row i; each row is padded by one cache line,
+    # because rows exactly 32 000 B apart put a step's reads, one column
+    # of m values per path, on a quarter of the L1 sets.
+    span = min(max(1, _CHUNK_STEPS // m), n_steps)
     block_paths = max(1, _MAX_NOISE_ELEMENTS // (span * m))
     samples = np.empty((n_paths, d))
     with ThreadPoolExecutor(_FILL_WORKERS) as pool:
@@ -282,10 +290,11 @@ def simulate_sde(
             stop = min(start + block_paths, n_paths)
             gens = [_path_generator(seed, i) for i in range(start, stop)]
             edges = np.linspace(0, len(gens), _FILL_WORKERS + 1, dtype=int)
-            buf = np.empty((len(gens), span, m))
+            buf = np.empty((len(gens), span * m + 8))
             x = np.tile(x0, (len(gens), 1))
             for first in range(0, n_steps, span):
-                noise = buf[:, : min(span, n_steps - first)]
+                steps = min(span, n_steps - first)
+                noise = buf[:, : steps * m]
 
                 def fill(lo, hi):
                     for i in range(lo, hi):
@@ -297,7 +306,7 @@ def simulate_sde(
                 if np.any(bad):
                     idx = start + int(np.argmax(bad))
                     raise DivergenceError(
-                        f"trajectory {idx} diverged by step {first + noise.shape[1]} "
+                        f"trajectory {idx} diverged by step {first + steps} "
                         "(non-Hurwitz mode or dt too large?)",
                         path_index=idx,
                     )

@@ -576,6 +576,22 @@ class TestMainEntryPoint:
         report = reporting.parse_report(outs[0] / "report.json")
         assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "exact_endpoint"
 
+    def test_stepped_monte_carlo_redundancy_byte_identical_runs(self, tmp_path):
+        sim = {"n_paths": 200, "horizon": 2.0, "dt": 1e-3}
+        config = write_config(tmp_path, dict(SCALAR_CONFIG, **DIAG_AFFINE_CONFIG, sim=sim))
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            result = self.run_cli(
+                "redundancy", "--config", str(config), "--out", str(out),
+                "--method", "monte_carlo", "--seed", "7",
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out)
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+        report = reporting.parse_report(outs[0] / "report.json")
+        assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "euler_stepped"
+
     def test_rotated_grid_redundancy_byte_identical_runs(self, tmp_path):
         config = write_config(tmp_path, FULL_S_PLANE_CONFIG)
         outs = []

@@ -165,6 +165,17 @@ class TestSimulate:
         assert 0 <= err.value.path_index < 70
         assert threading.active_count() == threads_before
 
+    def test_divergence_diag_affine_counts_steps(self):
+        # the message counts steps, not the m normals per step in a chunk
+        sigma = rq.DiagAffineDiffusion([1.0, 1.0], [0.5, 0.5])
+        system = rq.MultiChannelSystem([[2.0, 0.0], [0.0, 1.5]], [np.zeros((2, 1))], sigma)
+        span = stochastic_engine._CHUNK_STEPS // 2
+        with pytest.raises(DivergenceError, match=f"by step {span} ") as err:
+            rq.simulate_sde(
+                system, rq.GainSet([np.zeros((1, 2))]), 0, 1.0, 3 * span * 1e-2, 1e-2, 9, seed=2
+            )
+        assert 0 <= err.value.path_index < 9
+
     def test_x0_parameter(self, ou_system):
         system, gains = ou_system
         out = rq.simulate_sde(system, gains, 0, 0.0, 1.0, 1e-3, 3, seed=1, x0=[2.0])
@@ -263,6 +274,37 @@ class TestSimulateStepping:
             )
         for other in runs[1:]:
             assert np.array_equal(other, runs[0])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_independent_of_chunks_and_blocks(self, monkeypatch, d):
+        # every run ends on a partial chunk, and at d=2 the odd
+        # _CHUNK_STEPS = 7 is not a whole number of steps
+        A = np.array([[-1.0, 0.4], [-0.3, -1.6]])[:d, :d]
+        sigma = rq.DiagAffineDiffusion([0.7, 0.9][:d], [0.3, 0.5][:d])
+        system = rq.MultiChannelSystem(A, [np.zeros((d, 1))], sigma)
+        gains = rq.GainSet([np.zeros((1, d))])
+        n_steps = 2 * (stochastic_engine._CHUNK_STEPS // d) + 7
+
+        def run(**knobs):
+            with monkeypatch.context() as patch:
+                for name, value in knobs.items():
+                    patch.setattr(stochastic_engine, name, value)
+                return rq.simulate_sde(system, gains, 0, 1.0, n_steps * 1e-3, 1e-3, 8, 5).samples
+
+        default = run()
+        assert np.array_equal(run(_CHUNK_STEPS=7), default)
+        # blocks of 3, 3 and 2 paths: a block of one path would be stepped
+        # by BLAS's matrix-vector kernel, which rounds differently at d=2
+        blocked = run(_MAX_NOISE_ELEMENTS=3 * stochastic_engine._CHUNK_STEPS)
+        assert np.array_equal(blocked, default)
+
+    def test_more_noise_channels_than_chunk_normals(self, monkeypatch):
+        # m > _CHUNK_STEPS: each chunk is one step of m normals per path
+        system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
+        default = rq.simulate_sde(system, gains, 0, 1.0, 25e-3, 1e-3, 5, 8).samples
+        monkeypatch.setattr(stochastic_engine, "_CHUNK_STEPS", 1)
+        one_step = rq.simulate_sde(system, gains, 0, 1.0, 25e-3, 1e-3, 5, 8).samples
+        assert np.array_equal(one_step, default)
 
     def test_noise_memory_is_one_chunk_per_path(self):
         # one noise buffer of _CHUNK_STEPS normals per path, over a run of
