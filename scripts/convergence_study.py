@@ -11,23 +11,31 @@ S (central cross-diffusion terms) still fail at 101^2 in the x-frame
 solver. For the same 40 plants, the grid redundancy through
 ``systemic_redundancy``, which solves in the eigenbasis of S S^T: its
 failure count and its error against the closed form at 101^2 and 201^2.
-A last one
+Another
 compares the Monte Carlo redundancy of the scalar two-channel system
 (eps = 0.1) with its closed form over 8 seeds, in units of the reported
 batch-means standard error: at 2k paths expect a positive mean, since
 that SE covers sampling noise only and the histogram estimate is biased
-upward at small n.
+upward at small n. The last one runs the flow route from a random 4x4
+grid start on [-1, 1]^2 under A = -2I, B = [I, I], K = [I, 0]: the
+error of KL_1 against the exact interval-overlap reference of
+tests/oracles.py, next to the reported quadrature tolerance.
 
 Usage: python scripts/convergence_study.py [--out OUTDIR] [--quick]
 """
 
 import argparse
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import redunquant as rq
 from redunquant.errors import NumericalError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import diagonal_pullback_kl_bits  # noqa: E402
 
 
 def discretized(g, box):
@@ -153,6 +161,23 @@ def main():
         print(f"  n={n_paths:7d}  z mean={np.mean(zs):+.2f}  sd={np.std(zs, ddof=1):.2f}  "
               f"max |z|={np.max(np.abs(zs)):.2f}")
     (args.out / "mc_redundancy_z.csv").write_text("\n".join(lines) + "\n")
+
+    eye = np.eye(2)
+    plane = rq.MultiChannelSystem(-2.0 * eye, [eye, eye], rq.ConstantDiffusion(eye))
+    plane_gains = rq.GainSet([eye, np.zeros((2, 2))])
+    start = rq.GridDensity.from_unnormalized(
+        rq.Box([-1.0, -1.0], [1.0, 1.0], [4, 4]), np.random.default_rng(5).uniform(0.2, 1.0, (4, 4))
+    )
+    lines = ["t,kl_1,kl_1_exact,abs_error,quadrature_tol"]
+    print("\ngrid-start flow KL_1 vs exact interval overlaps (M_1 = e^{-t} I, 4x4 start):")
+    for t in (0.05, 0.1, 0.3, 0.5, 1.0, 10.0):
+        report = rq.liouville_redundancy(plane, plane_gains, start, t)
+        kl = report.kl_per_channel[0]
+        exact = diagonal_pullback_kl_bits(start, [math.exp(-t)] * 2)
+        tol = report.provenance["quadrature_tol"][0]
+        lines.append(f"{t},{kl:.12e},{exact:.12e},{abs(kl - exact):.6e},{tol:.6e}")
+        print(f"  t={t:5.2f}  |error|={abs(kl - exact):.2e}  tolerance={tol:.2e} bits")
+    (args.out / "grid_start_flow.csv").write_text("\n".join(lines) + "\n")
     print(f"\nwrote CSVs to {args.out}/")
 
 

@@ -21,13 +21,7 @@ from .errors import (
     UnsupportedDiffusionError,
 )
 from .info_measures import gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
-from .liouville_flow import (
-    QuadratureResult,
-    default_transport_box,
-    integrate_density,
-    pushforward_gaussian,
-    transported_pdf,
-)
+from .liouville_flow import pushforward_gaussian, transported_pdf
 from .redundancy_analysis import (
     RedundancyReport,
     SweepTable,

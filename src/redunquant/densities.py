@@ -79,11 +79,6 @@ class Box:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def node_points(self) -> np.ndarray:
-        axes = [self.nodes(k) for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def same_grid(self, other: "Box") -> bool:
         return (
             np.array_equal(self.n, other.n)

@@ -24,14 +24,8 @@ import numpy as np
 
 from .densities import Box, GaussianDensity, GridDensity
 from .errors import DimensionError, DomainError, NotReliableError
-from .info_measures import gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
-from .liouville_flow import (
-    GeneralDensity,
-    _check_time,
-    default_transport_box,
-    pushforward_gaussian,
-    transported_pdf,
-)
+from .info_measures import LN2, gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
+from .liouville_flow import GeneralDensity, _check_time, flow_kl, pushforward_gaussian
 from .reliable_gains import verify_reliable
 from .stochastic_engine import (
     default_sim_params,
@@ -374,24 +368,30 @@ def liouville_redundancy(
     *,
     paper_literal_jacobian: bool = False,
     avg_normalization: str = "paper",
-    grid_cells: int | None = None,
-    box: Box | None = None,
 ) -> RedundancyReport:
     """Redundancy functional r_t along the unperturbed density flow.
 
-    Gaussian rho0 takes the exact pushforward path; other initial
-    densities are evaluated on a shared grid, with the mass of each
-    transported density before normalization in provenance. The literal
-    Jacobian exp(-trace(A) t) only rescales mode j by exp((trace(A_j) -
-    trace(A)) t), so r_t does not depend on ``paper_literal_jacobian``;
-    the flag records that factor as ``raw_masses`` (times the grid mass).
-    On the Gaussian path, a time at which a pushforward covariance has
-    underflowed gives infinite KL terms and r = inf.
+    Gaussian rho0 takes the exact pushforward path (method
+    ``"closed_form"``). A ``GridDensity`` rho0 (method ``"grid"``) is
+    evaluated in its own frame, on its own box: with Phi_j = exp(A_j t)
+    and M_i = Phi_0^{-1} Phi_i, KL_i = KL(M_i # rho0 || rho0) and H_t =
+    H(rho0) + trace(A_0) t / ln 2. A one-cell (uniform) start is exact in
+    any dimension: KL_i = -(trace(A_i) - trace(A_0)) t / ln 2 when M_i maps
+    the box into itself and +inf otherwise, so KL_i is +inf for every
+    t > 0 once outage mode i contracts more slowly than the nominal one in
+    some direction of the box. A multi-cell start takes a midpoint
+    quadrature of the cross term (``flow_kl``), and provenance records
+    a bound on its error for each KL as ``quadrature_tol`` (bits). t = 0
+    gives r = -H(rho0) exactly.
+
+    The literal Jacobian exp(-trace(A) t) only rescales mode j by
+    exp((trace(A_j) - trace(A)) t), so r_t does not depend on
+    ``paper_literal_jacobian``; the flag records that factor as
+    ``raw_masses``. On the Gaussian path, a time at which a pushforward
+    covariance has underflowed gives infinite KL terms and r = inf.
     """
     normalization = _verified(sys, gains, avg_normalization)
-    return _flow_redundancy(
-        sys, gains, rho0, t, normalization, paper_literal_jacobian, grid_cells, box
-    )
+    return _flow_redundancy(sys, gains, rho0, t, normalization, paper_literal_jacobian)
 
 
 def _flow_redundancy(
@@ -401,16 +401,19 @@ def _flow_redundancy(
     t: float,
     normalization: str,
     paper_literal_jacobian: bool,
-    grid_cells: int | None = None,
-    box: Box | None = None,
 ) -> RedundancyReport:
     """``liouville_redundancy`` after its checks and its reliability verdict."""
     t = _check_time(t)
+    if not isinstance(rho0, (GaussianDensity, GridDensity)):
+        raise DomainError(f"unsupported initial density type {type(rho0).__name__}")
+    if rho0.dim != sys.d:
+        raise DimensionError(f"density dimension {rho0.dim} does not match state dimension {sys.d}")
     n = sys.n_channels
-    drift = None
+    prov: dict = {"t": t}
     if paper_literal_jacobian:
         traces = np.array([np.trace(closed_loop_matrix(sys, gains, j)) for j in range(n + 1)])
         drift = np.exp((traces - np.trace(sys.A)) * t).tolist()
+        prov.update(paper_literal_jacobian=True, raw_masses=drift)
 
     if isinstance(rho0, GaussianDensity):
         flows = [_pushforward_or_none(sys, gains, j, rho0, t) for j in range(n + 1)]
@@ -419,41 +422,16 @@ def _flow_redundancy(
             for i in range(1, n + 1)
         ]
         entropy_term = -math.inf if flows[0] is None else gaussian_entropy(flows[0])
-        prov = {"t": t}
-        if drift is not None:
-            prov.update(paper_literal_jacobian=True, raw_masses=drift)
         return _assemble_report(
             kls, entropy_term, "closed_form", normalization, t=t, provenance=prov
         )
 
-    if sys.d > 2:
-        raise DimensionError("grid-path flow redundancy supports d <= 2")
-    if grid_cells is None:
-        grid_cells = 801 if sys.d == 1 else 101
-    if box is None:
-        box = _hull(
-            [default_transport_box(sys, gains, j, rho0, t, n=grid_cells) for j in range(n + 1)]
-        )
-    points = box.center_points()
-    masses = []
-    densities = []
-    for j in range(n + 1):
-        values = transported_pdf(sys, gains, j, rho0, t, points).reshape(tuple(box.n))
-        masses.append(float(values.sum() * box.cell_volume))
-        densities.append(GridDensity.from_unnormalized(box, values))
-    if drift is not None:
-        masses = [m * f for m, f in zip(masses, drift)]
-    kls = [grid_kl(densities[i], densities[0]) for i in range(1, n + 1)]
-    entropy_term = grid_entropy(densities[0])
-    prov = {
-        "t": t,
-        "raw_masses": masses,
-        "paper_literal_jacobian": paper_literal_jacobian,
-        "grid_lo": box.lo.tolist(),
-        "grid_hi": box.hi.tolist(),
-        "grid_cells": box.n.tolist(),
-    }
-    return _assemble_report(kls, entropy_term, "grid", normalization, t=t, provenance=prov)
+    terms = [flow_kl(sys, gains, i, rho0, t) for i in range(1, n + 1)]
+    prov["quadrature_tol"] = [tol for _, tol in terms]
+    entropy_term = grid_entropy(rho0) + float(np.trace(closed_loop_matrix(sys, gains, 0))) * t / LN2
+    return _assemble_report(
+        [kl for kl, _ in terms], entropy_term, "grid", normalization, t=t, provenance=prov
+    )
 
 
 def _pushforward_or_none(sys, gains, mode, rho0, t) -> GaussianDensity | None:

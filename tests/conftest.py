@@ -48,6 +48,14 @@ def uniform_start(lo, hi) -> rq.GridDensity:
     return rq.GridDensity.from_unnormalized(rq.Box(lo, hi, [1] * d), np.ones([1] * d))
 
 
+def random_grid_start(seed: int, n) -> rq.GridDensity:
+    """Grid density on [-1, 1]^d with n[k] cells on axis k and cell values
+    drawn uniformly from [0.2, 1] by ``default_rng(seed)``, normalized."""
+    d = len(n)
+    values = np.random.default_rng(seed).uniform(0.2, 1.0, n)
+    return rq.GridDensity.from_unnormalized(rq.Box(-np.ones(d), np.ones(d), n), values)
+
+
 def random_system(rng: np.random.Generator, d: int, n_channels: int, input_dims=None):
     """Random plant with Uniform[-2,2] entries and a well-conditioned noise map."""
     input_dims = input_dims or [int(rng.integers(1, 3)) for _ in range(n_channels)]

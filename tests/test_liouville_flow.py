@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import redunquant as rq
 from redunquant.errors import DimensionError, DomainError
-from redunquant.liouville_flow import default_transport_box
+from redunquant.liouville_flow import pullback_kl
 
-from .conftest import random_gains, random_system, uniform_start
+from .conftest import random_gains, random_grid_start, random_system, uniform_start
+from .oracles import default_transport_box, diagonal_pullback_kl_bits, integrate_density
 
 
 def _ou_single(a=-1.0):
@@ -121,51 +122,82 @@ class TestIntegrateDensity:
         system, gains = _ou_single()
         g0 = rq.GaussianDensity([0.0], [[1.0]])
         box = rq.Box([-8.0], [8.0], [400])
-        result = rq.integrate_density(system, gains, 0, g0, 0.0, box)
-        assert result.value == pytest.approx(1.0, abs=1e-6)
+        result = integrate_density(system, gains, 0, g0, 0.0, box)
+        assert result == pytest.approx(1.0, abs=1e-6)
 
     def test_mass_conservation_scalar_case(self, scalar_two_channel):
         system, gains = scalar_two_channel
         g0 = rq.GaussianDensity([0.0], [[1.0]])
         for mode in range(3):
             for t in (0.0, 0.5, 1.0, 2.0):
-                result = rq.integrate_density(system, gains, mode, g0, t)
-                assert result.value == pytest.approx(1.0, abs=1e-6)
+                result = integrate_density(system, gains, mode, g0, t)
+                assert result == pytest.approx(1.0, abs=1e-6)
 
     def test_half_box_symmetric_density(self):
         system, gains = _ou_single()
         g0 = rq.GaussianDensity([0.0], [[1.0]])
         box = rq.Box([0.0], [8.0], [400])
-        result = rq.integrate_density(system, gains, 0, g0, 0.0, box)
-        assert result.value == pytest.approx(0.5, abs=1e-6)
+        result = integrate_density(system, gains, 0, g0, 0.0, box)
+        assert result == pytest.approx(0.5, abs=1e-6)
 
     def test_too_small_box_reports_deviation(self):
         system, gains = _ou_single()
         g0 = rq.GaussianDensity([0.0], [[1.0]])
         box = rq.Box([-1.0], [1.0], [200])
-        result = rq.integrate_density(system, gains, 0, g0, 0.0, box)
-        assert result.value == pytest.approx(0.6827, abs=1e-3)  # mass inside 1 sigma
+        result = integrate_density(system, gains, 0, g0, 0.0, box)
+        assert result == pytest.approx(0.6827, abs=1e-3)  # mass inside 1 sigma
 
     def test_uniform_rho0_mass(self):
         system, gains = _ou_single()
         rho0 = uniform_start([-1.0], [1.0])
         box = default_transport_box(system, gains, 0, rho0, 1.0, n=2000)
-        result = rq.integrate_density(system, gains, 0, rho0, 1.0, box)
+        result = integrate_density(system, gains, 0, rho0, 1.0, box)
         # discontinuous edges limit trapezoid accuracy to O(1/n)
-        assert result.value == pytest.approx(1.0, abs=2e-3)
+        assert result == pytest.approx(1.0, abs=2e-3)
 
     def test_2d_mass(self):
         rng = np.random.default_rng(23)
         system = random_system(rng, 2, 1)
         gains = rq.GainSet([np.zeros((system.input_dims[0], 2))])
         g0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
-        result = rq.integrate_density(system, gains, 0, g0, 0.3, None)
-        assert result.value == pytest.approx(1.0, abs=1e-6)
+        result = integrate_density(system, gains, 0, g0, 0.3, None)
+        assert result == pytest.approx(1.0, abs=1e-6)
 
-    def test_default_box_rejects_d_above_12(self):
-        d = 13
-        system = rq.MultiChannelSystem(-np.eye(d), [np.eye(d)], rq.ConstantDiffusion(np.eye(d)))
-        gains = rq.GainSet([np.zeros((d, d))])
-        rho0 = uniform_start(-np.ones(d), np.ones(d))
-        with pytest.raises(DomainError, match="supports d <= 12"):
-            rq.integrate_density(system, gains, 0, rho0, 0.5)
+
+class TestPullbackKL:
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_one_cell_start_is_exact(self, d):
+        # M maps the box into itself: KL = -log det M, with nothing to bound
+        rng = np.random.default_rng(d)
+        M = np.diag(rng.uniform(0.3, 0.9, d))
+        kl, tol = pullback_kl(uniform_start(-np.ones(d), np.ones(d)), M, np.log(np.linalg.det(M)))
+        assert kl == pytest.approx(-np.log2(np.linalg.det(M)), rel=1e-14)
+        assert tol == 0.0
+
+    def test_one_cell_start_leaving_its_box_is_infinite(self):
+        # a rotation by 30 degrees takes the square's corners outside it
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        M = 0.9 * np.array([[c, -s], [s, c]])
+        kl, _ = pullback_kl(uniform_start([-1.0, -1.0], [1.0, 1.0]), M, 2.0 * np.log(0.9))
+        assert kl == np.inf
+
+    @pytest.mark.parametrize("m", [[0.95, 0.6], [0.37, 0.8], [0.5, 0.5]])
+    def test_diagonal_map_within_its_bound(self, m):
+        rho0 = random_grid_start(7, (5, 3))
+        kl, tol = pullback_kl(rho0, np.diag(m), float(np.sum(np.log(m))))
+        assert abs(kl - diagonal_pullback_kl_bits(rho0, m)) <= tol + 1e-12
+        assert tol < 0.1
+
+    def test_midpoint_in_an_empty_cell_is_infinite(self):
+        values = np.ones((4, 4))
+        values[1:3, 1:3] = 0.0  # an empty centre that M = 0.5 I maps every cell into
+        rho0 = rq.GridDensity.from_unnormalized(rq.Box([-1.0, -1.0], [1.0, 1.0], [4, 4]), values)
+        assert pullback_kl(rho0, 0.5 * np.eye(2), 2.0 * np.log(0.5))[0] == np.inf
+
+    def test_quadrature_point_cap(self):
+        # two cells at d = 7 need 2 * 16^7 subcells, past the cap
+        d = 7
+        n = [2] + [1] * (d - 1)
+        rho0 = rq.GridDensity.from_unnormalized(rq.Box(-np.ones(d), np.ones(d), n), np.ones(n))
+        with pytest.raises(DomainError, match="quadrature grid too large"):
+            pullback_kl(rho0, 0.9 * np.eye(d), d * np.log(0.9))

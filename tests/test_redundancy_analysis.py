@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import redunquant as rq
-from redunquant.errors import DomainError, NotReliableError, UnsupportedDiffusionError
+from redunquant.errors import (
+    DimensionError,
+    DomainError,
+    NotReliableError,
+    NumericalError,
+    UnsupportedDiffusionError,
+)
 from redunquant.info_measures import grid_entropy
 from redunquant.redundancy_analysis import _direction, _solver_kl
 
-from .conftest import eccentric_plant, random_system, uniform_start
-from .oracles import entropy_quad_bits, kl_quad_bits, normal_pdf
+from .conftest import eccentric_plant, random_grid_start, random_system, uniform_start
+from .oracles import diagonal_pullback_kl_bits, entropy_quad_bits, kl_quad_bits, normal_pdf
 
 # closed-form values for the scalar two-channel configuration
 # (stationary variances eps^2/6 nominal, eps^2/2 under either outage),
@@ -30,13 +36,27 @@ R_FLOW_T0 = -2.047095585180641
 R_FLOW_T05 = 1.6999643431804814
 
 
-class AnalyticStart:
-    """Full-support evaluator of a Gaussian's pdf: neither a Gaussian nor a
-    grid start, so it skips the closed path and has no default box."""
+def _fast_outage_plant():
+    """d=1 loop A = -3 with two unit channels of gain 1: the nominal loop is
+    -1 and each outage loop -2, so outages contract faster than the nominal
+    loop and a compact start keeps finite flow KLs."""
+    system = rq.MultiChannelSystem([[-3.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]]))
+    return system, rq.GainSet([[[1.0]], [[1.0]]])
 
-    def __init__(self, g: rq.GaussianDensity):
-        self.dim = g.dim
-        self.pdf = g.pdf
+
+def _sampled_normal() -> rq.GridDensity:
+    """N(0, 1) sampled at the centres of 2001 cells on [-8, 8]."""
+    box = rq.Box([-8.0], [8.0], [2001])
+    g0 = rq.GaussianDensity([0.0], [[1.0]])
+    return rq.GridDensity.from_unnormalized(box, g0.pdf(box.center_points()).reshape(tuple(box.n)))
+
+
+def _contracting_plane():
+    """d=2 plant A = -2I, B = [I, I], K = [I, 0]: the nominal loop is -I,
+    outage 1 is -2I and outage 2 equals the nominal loop."""
+    eye = np.eye(2)
+    system = rq.MultiChannelSystem(-2.0 * eye, [eye, eye], rq.ConstantDiffusion(eye))
+    return system, rq.GainSet([eye, np.zeros((2, 2))])
 
 
 class TestSystemicRedundancy:
@@ -284,26 +304,25 @@ class TestLiouvilleRedundancy:
         r_two = rq.liouville_redundancy(system, gains, rho0, 2.0).r
         assert r_two > r_half
 
-    def test_grid_path_matches_gaussian_path(self, scalar_two_channel):
-        system, gains = scalar_two_channel
-        rho0 = rq.GaussianDensity([0.0], [[1.0]])
-        closed = rq.liouville_redundancy(system, gains, rho0, 0.3)
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_grid_path_matches_gaussian_path(self, t):
+        system, gains = _fast_outage_plant()
+        closed = rq.liouville_redundancy(system, gains, rq.GaussianDensity([0.0], [[1.0]]), t)
         assert closed.method == "closed_form"
-        numeric = rq.liouville_redundancy(
-            system, gains, AnalyticStart(rho0), 0.3, box=rq.Box([-8.0], [8.0], [2001])
-        )
+        numeric = rq.liouville_redundancy(system, gains, _sampled_normal(), t)
         assert numeric.method == "grid"
-        assert numeric.r == pytest.approx(closed.r, abs=5e-3)
+        assert numeric.r == pytest.approx(closed.r, abs=1e-5)
+        assert numeric.kl_per_channel == pytest.approx(closed.kl_per_channel, abs=1e-5)
 
-    def test_unsupported_start_needs_a_box(self, scalar_two_channel):
+    def test_unsupported_start_rejected(self, scalar_two_channel):
         system, gains = scalar_two_channel
-        start = AnalyticStart(rq.GaussianDensity([0.0], [[1.0]]))
+        samples = rq.simulate_sde(system, gains, 0, 0.1, 1.0, 0.01, 10, seed=1)
         with pytest.raises(DomainError, match="unsupported initial density type"):
-            rq.liouville_redundancy(system, gains, start, 0.3)
+            rq.liouville_redundancy(system, gains, samples, 0.3)
 
     def test_uniform_start_at_late_time_gives_infinite_r(self, scalar_two_channel):
-        # at t = 25 the nominal pull-back e^{75} sends the shared box's outer
-        # cells ~1e21 cell widths outside the start's one cell
+        # each outage loop (-1) contracts more slowly than the nominal one (-3):
+        # M_i = e^{2t} maps the start's box far outside itself
         system, gains = scalar_two_channel
         report = rq.liouville_redundancy(system, gains, uniform_start([-1.0], [1.0]), 25.0)
         assert report.r == math.inf
@@ -318,7 +337,7 @@ class TestLiouvilleRedundancy:
         sampled = rq.GridDensity.from_unnormalized(
             box, rho0.pdf(box.center_points()).reshape(tuple(box.n))
         )
-        numeric = rq.liouville_redundancy(system, gains, sampled, 0.3, grid_cells=2001)
+        numeric = rq.liouville_redundancy(system, gains, sampled, 0.3)
         assert numeric.kl_per_channel == (math.inf, math.inf)
         assert numeric.r == math.inf
 
@@ -337,18 +356,18 @@ class TestLiouvilleRedundancy:
         assert literal.provenance["raw_masses"] == pytest.approx(drift, rel=1e-12)
         assert literal.r == plain.r
 
-        box = rq.Box([-8.0], [8.0], [2001])
-        plain = rq.liouville_redundancy(system, gains, AnalyticStart(rho0), t, box=box)
-        literal = rq.liouville_redundancy(
-            system, gains, AnalyticStart(rho0), t, box=box, paper_literal_jacobian=True
-        )
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_grid_start_records_the_same_mass_drift(self, t):
+        # the plant has trace -3, the nominal loop -1 and either outage loop -2
+        system, gains = _fast_outage_plant()
+        drift = np.exp(np.array([2.0, 1.0, 1.0]) * t).tolist()
+        start = _sampled_normal()
+        plain = rq.liouville_redundancy(system, gains, start, t)
+        literal = rq.liouville_redundancy(system, gains, start, t, paper_literal_jacobian=True)
         assert literal.method == "grid"
         assert literal.provenance["paper_literal_jacobian"] is True
-        assert literal.provenance["raw_masses"] == pytest.approx(
-            np.array(plain.provenance["raw_masses"]) * drift, rel=1e-12
-        )
+        assert literal.provenance["raw_masses"] == drift
         assert literal.r == plain.r
-
 
     def test_underflowed_pushforward_gives_infinite_r(self, scalar_two_channel):
         # the nominal pushforward variance e^{-6t} is subnormal at t = 120
@@ -379,6 +398,136 @@ class TestLiouvilleRedundancy:
         rho0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
         with pytest.raises(DomainError, match="time must be"):
             rq.liouville_redundancy(system, gains, rho0, math.inf, paper_literal_jacobian=True)
+
+
+class TestGridStartFlow:
+    """r_t from a GridDensity start, computed in the start's own frame."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 5.0, 10.0])
+    def test_uniform_start_on_contracting_plane_is_exact(self, t):
+        # M_1 = e^{-t} I, M_2 = I: KL_1 = 2t nats, KL_2 = 0, H_t = log2(4) - 2t nats;
+        # KL_2 is 0 exactly, where a rounded M_2 = I would push the box's faces
+        # out by an ulp and give +inf
+        system, gains = _contracting_plane()
+        report = rq.liouville_redundancy(system, gains, uniform_start([-1.0, -1.0], [1.0, 1.0]), t)
+        kl_1 = 2.0 * t / math.log(2.0)
+        assert report.kl_per_channel[0] == pytest.approx(kl_1, rel=1e-14)
+        assert report.kl_per_channel[1] == 0.0
+        assert report.entropy_term == pytest.approx(2.0 - kl_1, rel=1e-14)
+        assert report.r == pytest.approx(kl_1 / 4.0 - 2.0 + kl_1, rel=1e-14)
+        assert report.provenance["quadrature_tol"] == [0.0, 0.0]
+
+    def test_uniform_start_pinned_values(self):
+        system, gains = _contracting_plane()
+        start = uniform_start([-1.0, -1.0], [1.0, 1.0])
+        r = [rq.liouville_redundancy(system, gains, start, t).r for t in (0.0, 0.1, 10.0)]
+        assert r[0] == -2.0
+        assert r[1] == pytest.approx(-1.639326, abs=1e-6)
+        assert r[2] == pytest.approx(34.067376, abs=1e-6)
+
+    def test_outage_equal_to_nominal_on_a_non_normal_loop(self):
+        # the nominal loop A + I/2 has eigenvalues -0.5 and -5.9: at t = 5,
+        # solve(exp(A_0 t), exp(A_0 t)) misses I by 1.8e-5; outage 1 leaves
+        # A, so M_1 = e^{-t/2} I and KL_1 = t nats
+        eye = np.eye(2)
+        A = np.array([[-1.86, -1.4], [-2.8, -5.56]])
+        system = rq.MultiChannelSystem(A, [eye, eye], rq.ConstantDiffusion(eye))
+        gains = rq.GainSet([0.5 * eye, np.zeros((2, 2))])
+        start = uniform_start([-1.0, -1.0], [1.0, 1.0])
+        report = rq.liouville_redundancy(system, gains, start, 5.0)
+        assert report.kl_per_channel == pytest.approx((5.0 / math.log(2.0), 0.0), rel=1e-12)
+        assert report.kl_per_channel[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda: random_grid_start(5, (4, 4)),
+            _sampled_normal,
+            lambda: uniform_start([0.2], [0.7]),
+        ],
+        ids=["4x4", "sampled_normal", "uniform"],
+    )
+    def test_time_zero_gives_negative_entropy_exactly(self, start):
+        rho0 = start()
+        system, gains = _contracting_plane() if rho0.dim == 2 else _fast_outage_plant()
+        report = rq.liouville_redundancy(system, gains, rho0, 0.0)
+        assert report.kl_per_channel == (0.0, 0.0)
+        assert report.provenance["quadrature_tol"] == [0.0, 0.0]
+        assert report.r == -grid_entropy(rho0)
+
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.3, 0.5, 1.0, 10.0])
+    def test_4x4_start_within_reported_tolerance_of_exact(self, t):
+        # M_1 = e^{-t} I is diagonal, so the oracle's interval overlaps are exact;
+        # 1e-12 covers the round-off of the two sums
+        system, gains = _contracting_plane()
+        rho0 = random_grid_start(5, (4, 4))
+        report = rq.liouville_redundancy(system, gains, rho0, t)
+        exact = diagonal_pullback_kl_bits(rho0, [math.exp(-t)] * 2)
+        tol = report.provenance["quadrature_tol"]
+        assert abs(report.kl_per_channel[0] - exact) <= tol[0] + 1e-12
+        assert report.kl_per_channel[1] == 0.0 and tol[1] == 0.0
+        assert tol[0] < 0.05
+
+    def test_one_cell_start_in_three_dimensions(self):
+        eye = np.eye(3)
+        system = rq.MultiChannelSystem(-2.0 * eye, [eye, eye], rq.ConstantDiffusion(eye))
+        gains = rq.GainSet([eye, np.zeros((3, 3))])
+        report = rq.liouville_redundancy(system, gains, uniform_start(-np.ones(3), np.ones(3)), 0.7)
+        kl_1 = 3.0 * 0.7 / math.log(2.0)
+        assert report.kl_per_channel == pytest.approx((kl_1, 0.0), rel=1e-14)
+        assert report.entropy_term == pytest.approx(3.0 - kl_1, rel=1e-14)
+
+    def test_slow_outage_from_offset_start_is_infinite(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        report = rq.liouville_redundancy(system, gains, uniform_start([0.2], [0.7]), 25.0)
+        assert report.kl_per_channel == (math.inf, math.inf)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_seeded_plane_from_offset_start_is_infinite(self, seed):
+        rng = np.random.default_rng(seed)
+        eye = np.eye(2)
+        A = rng.uniform(-1.0, 1.0, (2, 2))
+        gains = rq.GainSet([-2.0 * eye + 0.1 * rng.standard_normal((2, 2)) for _ in range(2)])
+        system = rq.MultiChannelSystem(A, [eye, eye], rq.ConstantDiffusion(eye))
+        report = rq.liouville_redundancy(system, gains, uniform_start([0.2, 0.2], [0.7, 0.7]), 2.0)
+        assert report.r == math.inf
+
+    def test_underflowed_nominal_flow_raises(self, scalar_two_channel):
+        # the nominal flow map e^{-3t} is 0.0 at t = 300, so M_i cannot be formed
+        system, gains = scalar_two_channel
+        with pytest.raises(NumericalError, match="singular in floating point"):
+            rq.liouville_redundancy(system, gains, uniform_start([-1.0], [1.0]), 300.0)
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["plain", "literal"])
+    def test_provenance_layout(self, literal):
+        system, gains = _fast_outage_plant()
+        gaussian = rq.liouville_redundancy(
+            system, gains, rq.GaussianDensity([0.0], [[1.0]]), 0.5, paper_literal_jacobian=literal
+        )
+        grid = rq.liouville_redundancy(
+            system, gains, uniform_start([-1.0], [1.0]), 0.5, paper_literal_jacobian=literal
+        )
+        assert list(grid.provenance) == [*gaussian.provenance, "quadrature_tol"]
+
+    def test_time_sweep_rows_match_single_calls(self):
+        system, gains = _contracting_plane()
+        rho0 = random_grid_start(5, (4, 4))
+        table = rq.time_sweep(system, gains, rho0, [0.0, 0.3, 1.0])
+        for t, row in zip(table.values, table.reports):
+            single = rq.liouville_redundancy(system, gains, rho0, t)
+            assert row.r == single.r and row.provenance == single.provenance
+
+    @pytest.mark.parametrize("start_dim", [1, 2])
+    def test_start_dimension_must_match_state(self, scalar_two_channel, start_dim):
+        if start_dim == 2:
+            (system, gains), rho0 = scalar_two_channel, uniform_start([-1.0, -1.0], [1.0, 1.0])
+        else:
+            (system, gains), rho0 = _contracting_plane(), uniform_start([-1.0], [1.0])
+        message = "density dimension .* does not match state dimension"
+        with pytest.raises(DimensionError, match=message):
+            rq.liouville_redundancy(system, gains, rho0, 0.5)
+        with pytest.raises(DimensionError, match=message):
+            rq.time_sweep(system, gains, rho0, [0.0, 0.5])
 
 
 class TestEpsilonSweep:
