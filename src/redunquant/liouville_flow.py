@@ -101,13 +101,14 @@ def flow_kl(
 ) -> tuple[float, float]:
     """KL(rho_mode(t) || rho_0(t)) in bits from a grid start, and a bound on
     its quadrature error: ``pullback_kl`` of M = exp(A_0 t)^{-1} exp(A_mode t).
-    M is exactly I when the two loops are equal; a rounded I would push the
-    box's faces out and give +inf."""
+    Equal loops give (0.0, 0.0) with no quadrature, which is what
+    ``pullback_kl`` returns for M = I; a rounded I would push the box's
+    faces out and give +inf."""
     A_0 = closed_loop_matrix(sys, gains, 0)
     A_i = closed_loop_matrix(sys, gains, mode)
-    log_det = (float(np.trace(A_i)) - float(np.trace(A_0))) * t
     if np.array_equal(A_i, A_0):
-        return pullback_kl(rho0, np.eye(sys.d), log_det)
+        return 0.0, 0.0
+    log_det = (float(np.trace(A_i)) - float(np.trace(A_0))) * t
     try:
         M = np.linalg.solve(matrix_exponential(A_0, t), matrix_exponential(A_i, t))
     except np.linalg.LinAlgError:

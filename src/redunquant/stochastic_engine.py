@@ -11,8 +11,9 @@ Three routes produce the stationary law of
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
-  a single balance row replaced by a pin. One loop over axes assembles
-  it with exponentially fitted (Scharfetter-Gummel) face fluxes: for
+  a single balance row replaced by a pin. Its exponentially fitted
+  (Scharfetter-Gummel) face fluxes are added in place to dense bands of
+  the matrix, one per stencil offset, converted to CSC once: for
   diagonal sigma sigma^T the operator is an M-matrix and its null vector
   is positive; the central cross terms of a full S S^T are not monotone.
   On a box symmetric about the origin the solve is folded by x -> -x,
@@ -26,6 +27,7 @@ density so the three routes can be cross-checked.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -517,91 +519,116 @@ def _assemble_fv_operator(
     nonpositive off-diagonal entries) whose null vector is positive. The
     off-diagonal part of a full constant S S^T adds central cross terms,
     which are not monotone.
+
+    The matrix is built band by band: a flux term that couples cell f to
+    cell f + s, for a grid step s, adds to the dense band of flat offset
+    ``s . strides`` on a slice of the grid, and the bands are converted
+    to CSC once. Fitted fluxes fill offsets 0 and +-stride_k; full-S cross
+    terms add +-stride_k +- stride_l, one-sided at the walls.
     """
     import scipy.sparse  # only the grid route needs it
 
     d = box.dim
     shape = tuple(int(v) for v in box.n)
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(d)]
+    unit = np.eye(d, dtype=int)
     h = box.cell_widths
     half_eps2 = 0.5 * eps**2
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
     x = box.center_points().reshape(*shape, d)
     diag, cross = _diffusion_tensor(sys, x)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    bands: dict[int, np.ndarray] = {}  # offset o -> L[f - o, f], indexed by column f
+
+    def moved(cells, step):
+        return tuple(slice(c.start + s, c.stop + s) for c, s in zip(cells, step))
+
+    def add(rows, step, value):  # L[f, f + step] += value for the cells f in rows
+        band = bands.setdefault(int(np.dot(strides, step)), np.zeros(shape))
+        band[moved(rows, step)] += value
+
+    def flux(k, faces, step, coeff):
+        # coeff * rho(f + step) crosses the axis-k face above each cell f of
+        # faces: it leaves f's balance row and enters that of f + e_k
+        value = 1.0 / h[k] * coeff
+        add(faces, step, value)
+        add(moved(faces, unit[k]), step - unit[k], -value)
 
     for k in range(d):
-        lower = tuple(slice(None, -1) if l == k else slice(None) for l in range(d))
-        upper = tuple(slice(1, None) if l == k else slice(None) for l in range(d))
+        lower = tuple(slice(0, n - (a == k)) for a, n in enumerate(shape))
+        upper = moved(lower, unit[k])
         face = x[lower].copy()
         face[..., k] += 0.5 * h[k]
         pe = (face @ A_j[k]) * h[k] / (half_eps2 * _diffusion_tensor(sys, face)[0][..., k])
-        pieces = [
-            (flat[lower], half_eps2 / h[k] * diag[lower][..., k] * _bernoulli(-pe)),
-            (flat[upper], -half_eps2 / h[k] * diag[upper][..., k] * _bernoulli(pe)),
-        ]
+        flux(k, lower, 0 * unit[k], half_eps2 / h[k] * diag[lower][..., k] * _bernoulli(-pe))
+        flux(k, lower, unit[k], -half_eps2 / h[k] * diag[upper][..., k] * _bernoulli(pe))
         for l in range(d):
             if cross[k, l] == 0.0:  # always so for l == k
                 continue
             # -(eps^2/2) d_l(D_kl rho), central (one-sided at the walls) at
             # both cells of the face and averaged
-            p_up = np.minimum(np.arange(shape[l]) + 1, shape[l] - 1)
-            p_dn = np.maximum(np.arange(shape[l]) - 1, 0)
+            i = np.arange(shape[l])
+            p_up, p_dn = np.minimum(i + 1, shape[l] - 1), np.maximum(i - 1, 0)
             w = np.where(p_up > p_dn, 1.0 / (np.maximum(p_up - p_dn, 1) * h[l]), 0.0)
-            w = 0.5 * half_eps2 * cross[k, l] * w.reshape([-1 if a == l else 1 for a in range(d)])
-            w = np.broadcast_to(w, shape)
-            for side in (lower, upper):
-                pieces.append((np.take(flat, p_up, axis=l)[side], -w[side]))
-                pieces.append((np.take(flat, p_dn, axis=l)[side], w[side]))
-        for cells, coeff in pieces:
-            for balance, sign in ((flat[lower], 1.0), (flat[upper], -1.0)):
-                rows.append(balance.ravel())
-                cols.append(cells.ravel())
-                vals.append((sign / h[k] * coeff).ravel())
+            w = 0.5 * half_eps2 * cross[k, l] * w
+            for p, sign in ((p_up, -1.0), (p_dn, 1.0)):
+                for s in np.unique(p - i):  # +-1 inside, 0 at the wall
+                    run = np.flatnonzero(p - i == s)
+                    faces = list(lower)
+                    faces[l] = slice(run[0], run[-1] + 1)
+                    coeff = sign * w[run].reshape([-1 if a == l else 1 for a in range(d)])
+                    for side in (0, 1):
+                        flux(k, faces, side * unit[k] + s * unit[l], coeff)
 
-    n = flat.size
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
+    offsets = sorted(bands, reverse=True)  # rows ascend within each column
+    n = int(np.prod(shape))
+    data = np.stack([bands.pop(o).ravel() for o in offsets])
+    return scipy.sparse.dia_matrix((data, offsets), shape=(n, n)).tocsc()
 
 
-def _pinned_null_vector(
-    L: scipy.sparse.csc_matrix, pin: int, mirror: np.ndarray | None = None
-) -> np.ndarray:
+def _pinned_null_vector(L: scipy.sparse.csc_matrix, pin: int, fold: bool = False) -> np.ndarray:
     """Null vector of a zero-flux operator ``L``, scaled so ``v[pin] = 1``.
 
-    ``mirror`` is an involution of the cells that commutes with ``L`` (the
-    identity if None). The solve runs on ``F = L[keep] P``: ``P`` sends each
-    cell to the representative (smaller index) of its pair
-    ``{f, mirror[f]}``, ``keep`` lists the representatives, and ``v =
+    With ``fold`` the operator must commute with the reversal of the
+    cells, f -> N-1-f, and the solve runs on the first ``ceil(N/2)`` rows
+    with each column added to its mirror's: ``F = L[:K] P``, where ``P``
+    sends cell f to its representative ``min(f, N-1-f)``, and ``v =
     u[orbit]`` unfolds the result, so an antisymmetric null vector cannot
     be seen. The columns of ``L`` sum to zero, so ``F``'s left null vector
     is the positive vector of pair sizes and any one balance row is implied
-    by the others: the row of the pin's representative is replaced by
-    ``u = 1`` there and the result is factored once (minimum-degree
-    ordering on the pattern of A + A^T) and solved once. An exactly
-    singular factor, or a pivot ratio ``min|U_ii| / max|U_ii|`` below
-    round-off, means the null space is not one-dimensional
+    by the others: the row of the pin's representative is replaced in
+    place by ``u = 1`` there and the result is factored once (minimum-degree
+    ordering on the pattern of A + A^T, diagonal pivots) and solved once.
+    An exactly singular factor, or a pivot ratio ``min|U_ii| / max|U_ii|``
+    below round-off, means the null space is not one-dimensional
     (NonUniqueError); a relative residual on the full operator,
     ``||L v|| / (scale ||v||)``, above 1e-9 raises NumericalError.
+
+    The pivots are the diagonal because a boundary column of ``L`` has an
+    off-diagonal entry as large as its diagonal one: threshold pivoting
+    would let round-off pick between the two, and the wrong pick cost an
+    unfolded 1-D solve its far tail (9e-2 relative error, against 1e-13).
+    ``L`` is column diagonally dominant and the pin row is a unit row.
     """
     import scipy.sparse.linalg  # loads scipy.sparse too
 
     n = L.shape[0]
     scale = float(np.abs(L.data).max()) if L.nnz else 1.0
     cells = np.arange(n)
-    keep, orbit = np.unique(
-        cells if mirror is None else np.minimum(cells, mirror), return_inverse=True
-    )
-    k, row = keep.size, int(orbit[pin])
-    fold = scipy.sparse.csc_matrix((np.ones(n), (cells, orbit)), shape=(n, k))
-    pinned = (L[keep] @ fold).tocsc()
+    if fold:
+        orbit = np.minimum(cells, n - 1 - cells)
+        k = (n + 1) // 2  # the representatives are the prefix of the cells
+        P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, k))
+        pinned = L[:k] @ P
+    else:
+        orbit, k, pinned = cells, n, L.copy()
+    row = int(orbit[pin])
     pinned.data[pinned.indices == row] = 0.0  # CSC: indices are row numbers
-    # the sum drops the zeroed entries, so they add no structural fill
-    pinned = pinned + scipy.sparse.csc_matrix(([1.0], ([row], [row])), shape=(k, k))
+    with warnings.catch_warnings():
+        # in place, unless the diagonal entry cancelled (one or two cells)
+        warnings.simplefilter("ignore", scipy.sparse.SparseEfficiencyWarning)
+        pinned[row, row] = 1.0
+    pinned.eliminate_zeros()  # the zeroed entries add no structural fill
     try:
-        lu = scipy.sparse.linalg.splu(pinned, permc_spec="MMD_AT_PLUS_A")
+        lu = scipy.sparse.linalg.splu(pinned, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise NumericalError(f"sparse factorization failed: {exc}") from exc
@@ -649,10 +676,10 @@ def solve_stationary_fp_grid(
     (N+1)//2 unknowns and the values come out exactly mirror-symmetric.
     The blind spot is a second, antisymmetric null direction, which no
     system of the public API produces. Any other box is solved unfolded.
-    At 201^2 the fold halves the LU fill and time (~0.1 s for the
-    five-point operator on one core of a 2-vCPU x86-64 VM); in 1-D it
-    keeps the far tail at round-off (relative error 2e-13 out to 7.7
-    standard deviations, where the unfolded solve was off by 1.7 %).
+    At 201^2 the fold halves the LU fill and time (0.08 s against 0.17 s
+    for the five-point operator, on one core of a 2-vCPU x86-64 VM).
+    Either way the 1-D far tail is exact to round-off: relative error
+    3e-14 folded and 1e-13 unfolded, out to 7.7 standard deviations.
 
     With diagonal diffusion (diagonal S, or diag_affine) the fitted fluxes
     of ``_assemble_fv_operator`` make the operator an M-matrix, so the
@@ -682,8 +709,8 @@ def solve_stationary_fp_grid(
 
     L = _assemble_fv_operator(sys, A_j, eps, box)
     origin = np.clip(np.floor(-box.lo / box.cell_widths), 0, box.n - 1).astype(int)
-    mirror = np.arange(L.shape[0])[::-1] if np.array_equal(box.lo, -box.hi) else None
-    v = _pinned_null_vector(L, int(np.ravel_multi_index(tuple(origin), tuple(box.n))), mirror)
+    pin = int(np.ravel_multi_index(tuple(origin), tuple(box.n)))
+    v = _pinned_null_vector(L, pin, fold=np.array_equal(box.lo, -box.hi))
 
     values = v.reshape(tuple(box.n))
     total = values.sum() * box.cell_volume

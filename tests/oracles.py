@@ -8,7 +8,8 @@ uses Bartels-Stewart), stabilizing Riccati solutions from the
 Newton-Kleinman iteration and from scipy's extended-pencil QZ solver (the
 library uses the Schur form of the Hamiltonian), null vectors of the
 finite-volume stationary operator from shifted inverse iteration (the
-library uses one pinned direct solve), and the Euler
+library uses one pinned direct solve), that operator itself from COO
+triplets (the library adds to dense bands), and the Euler
 endpoint covariance from a plain term-by-term sum (the library uses
 binary doubling), stepped Euler endpoints from a per-path, per-step
 loop (the library steps blocks of paths over chunks of pre-drawn noise),
@@ -168,6 +169,65 @@ def null_vector_inverse_iteration(L, start):
     w /= np.linalg.norm(w)
     assert float(np.linalg.norm(L @ w)) / scale > 1e-10, "second null vector"
     return v
+
+
+def fv_operator_coo_reference(system, A_cl, eps, box):
+    """The finite-volume stationary operator assembled from (row, column,
+    value) triplets, one per term of each face flux, summed by the COO to
+    CSC conversion (the library adds each term to a dense band in place).
+    Same fluxes and per-entry arithmetic: Scharfetter-Gummel fitted fluxes
+    on every face, plus central cross-diffusion terms, one-sided at the
+    walls, for the off-diagonal part of a constant S S^T."""
+    d = box.dim
+    shape = tuple(int(v) for v in box.n)
+    h = box.cell_widths
+    half_eps2 = 0.5 * eps**2
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    x = box.center_points().reshape(*shape, d)
+
+    def diffusion(points):  # diagonal of sigma sigma^T, and its constant rest
+        if isinstance(system.sigma, rq.ConstantDiffusion):
+            D = system.sigma.diffusion_matrix()
+            return np.broadcast_to(np.diag(D), points.shape), D - np.diag(np.diag(D))
+        return system.sigma.diag_at(points) ** 2, np.zeros((d, d))
+
+    def bernoulli(z):
+        safe = np.where(z == 0.0, 1.0, z)
+        with np.errstate(over="ignore"):
+            return np.where(z == 0.0, 1.0, safe / np.expm1(safe))
+
+    diag, cross = diffusion(x)
+    rows, cols, vals = [], [], []
+    for k in range(d):
+        lower = tuple(slice(None, -1) if l == k else slice(None) for l in range(d))
+        upper = tuple(slice(1, None) if l == k else slice(None) for l in range(d))
+        face = x[lower].copy()
+        face[..., k] += 0.5 * h[k]
+        pe = (face @ A_cl[k]) * h[k] / (half_eps2 * diffusion(face)[0][..., k])
+        pieces = [
+            (flat[lower], half_eps2 / h[k] * diag[lower][..., k] * bernoulli(-pe)),
+            (flat[upper], -half_eps2 / h[k] * diag[upper][..., k] * bernoulli(pe)),
+        ]
+        for l in range(d):
+            if cross[k, l] == 0.0:
+                continue
+            p_up = np.minimum(np.arange(shape[l]) + 1, shape[l] - 1)
+            p_dn = np.maximum(np.arange(shape[l]) - 1, 0)
+            w = np.where(p_up > p_dn, 1.0 / (np.maximum(p_up - p_dn, 1) * h[l]), 0.0)
+            w = 0.5 * half_eps2 * cross[k, l] * w.reshape([-1 if a == l else 1 for a in range(d)])
+            w = np.broadcast_to(w, shape)
+            for side in (lower, upper):
+                pieces.append((np.take(flat, p_up, axis=l)[side], -w[side]))
+                pieces.append((np.take(flat, p_dn, axis=l)[side], w[side]))
+        for cells, coeff in pieces:
+            for balance, sign in ((flat[lower], 1.0), (flat[upper], -1.0)):
+                rows.append(balance.ravel())
+                cols.append(cells.ravel())
+                vals.append((sign / h[k] * coeff).ravel())
+    n = flat.size
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsc()
 
 
 def euler_endpoint_cov_reference(M, Q, n):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import redunquant as rq
 from redunquant.errors import DimensionError, DomainError
-from redunquant.liouville_flow import pullback_kl
+from redunquant import liouville_flow
+from redunquant.liouville_flow import flow_kl, pullback_kl
 
 from .conftest import random_gains, random_grid_start, random_system, uniform_start
 from .oracles import default_transport_box, diagonal_pullback_kl_bits, integrate_density
@@ -201,3 +202,22 @@ class TestPullbackKL:
         rho0 = rq.GridDensity.from_unnormalized(rq.Box(-np.ones(d), np.ones(d), n), np.ones(n))
         with pytest.raises(DomainError, match="quadrature grid too large"):
             pullback_kl(rho0, 0.9 * np.eye(d), d * np.log(0.9))
+
+
+class TestFlowKL:
+    def test_equal_loops_skip_the_quadrature(self, monkeypatch):
+        # A = -2I, B = [I, I], K = [I, 0]: outage 2 is the nominal loop, so
+        # M = I, for which the quadrature would return (0.0, 0.0) exactly
+        eye = np.eye(2)
+        system = rq.MultiChannelSystem(-2.0 * eye, [eye, eye], rq.ConstantDiffusion(eye))
+        gains = rq.GainSet([eye, np.zeros((2, 2))])
+        rho0 = random_grid_start(3, (9, 7))
+        assert pullback_kl(rho0, eye, 0.0) == (0.0, 0.0)
+
+        def no_quadrature(*args):
+            raise AssertionError("pullback_kl ran for equal loops")
+
+        monkeypatch.setattr(liouville_flow, "pullback_kl", no_quadrature)
+        assert flow_kl(system, gains, 2, rho0, 0.3) == (0.0, 0.0)
+        with pytest.raises(AssertionError, match="equal loops"):
+            flow_kl(system, gains, 1, rho0, 0.3)

@@ -17,6 +17,7 @@ from redunquant.errors import (
     OutOfBoxError,
     UnsupportedDiffusionError,
 )
+from redunquant.redundancy_analysis import _diffusion_frame
 from redunquant.stochastic_engine import (
     _assemble_fv_operator,
     _pinned_null_vector,
@@ -28,6 +29,7 @@ from .conftest import eccentric_plant, random_hurwitz
 from .oracles import (
     euler_endpoint_cov_reference,
     euler_stepped_reference,
+    fv_operator_coo_reference,
     lyapunov_reference,
     null_vector_inverse_iteration,
 )
@@ -478,7 +480,7 @@ class TestFpResidual:
 
 
 def _unfolded_solve(system, gains, mode, eps, box) -> np.ndarray:
-    """solve_stationary_fp_grid's values from _pinned_null_vector without a mirror map."""
+    """solve_stationary_fp_grid's values from _pinned_null_vector without the fold."""
     L = _assemble_fv_operator(system, rq.closed_loop_matrix(system, gains, mode), eps, box)
     origin = np.clip(np.floor(-box.lo / box.cell_widths), 0, box.n - 1).astype(int)
     v = _pinned_null_vector(L, int(np.ravel_multi_index(tuple(origin), tuple(box.n))))
@@ -662,6 +664,52 @@ class TestGridSolver:
 
     @pytest.mark.parametrize(
         "case",
+        [
+            "1d_odd",
+            "1d_even",
+            "2d_diagonal_s",
+            "2d_diag_affine",
+            "rotated_frame",
+            "asymmetric_41x37",
+            "2d_full_s_x_frame",
+        ],
+    )
+    def test_operator_matches_coo_oracle(self, case):
+        if case == "rotated_frame":  # the five-point operator of grid r with a full S
+            system, gains, eps, _ = _fold_case("2d_full_s_x_frame")
+            _, system, gains = _diffusion_frame(system, gains)
+            box = rq.default_stationary_box(system, gains, 0, eps)
+        elif case == "asymmetric_41x37":
+            system, gains, eps, _ = _fold_case("2d_diag_affine")
+            box = rq.Box([-1.0, -1.5], [1.2, 1.5], [41, 37])
+        else:
+            system, gains, eps, box = _fold_case(case)
+        A = rq.closed_loop_matrix(system, gains, 0)
+        ref = fv_operator_coo_reference(system, A, eps, box)
+        # entrywise a - b is exact, so a zero difference is equality
+        err = abs(_assemble_fv_operator(system, A, eps, box) - ref).max()
+        if case == "2d_full_s_x_frame":  # its cross terms are summed in another order
+            assert err <= 4 * np.spacing(abs(ref).max())
+        else:
+            assert err == 0.0
+
+    def test_assembly_memory_is_a_few_operators(self):
+        # the full-S x-frame operator of test_2d_constant_with_cross_terms at
+        # 201^2: the traced peak, the returned matrix included, against the
+        # bytes of that CSC matrix
+        system, gains, eps, box = _fold_case("2d_full_s_x_frame")
+        box = rq.Box(box.lo, box.hi, [201, 201])
+        A = rq.closed_loop_matrix(system, gains, 0)
+        tracemalloc.start()
+        try:
+            L = _assemble_fv_operator(system, A, eps, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
+
+    @pytest.mark.parametrize(
+        "case",
         ["1d_odd", "1d_even", "2d_diagonal_s", "2d_full_s_x_frame", "2d_diag_affine"],
     )
     def test_symmetric_box_folds_to_the_unfolded_solve(self, case):
@@ -700,19 +748,34 @@ class TestGridSolver:
         rq.solve_stationary_fp_grid(system, gains, 0, 0.1, n_cells=101)
         assert factored == [((101**2 + 1) // 2, (101**2 + 1) // 2)]
 
-    def test_1d_tail_is_exact_to_round_off(self, scalar_two_channel):
+    @pytest.mark.parametrize("stretch", [1.0, 1.05], ids=["folded", "unfolded"])
+    def test_1d_tail_is_exact_to_round_off(self, scalar_two_channel, stretch):
         # the bundled scalar system: mode 0 (a = -3) on the box of mode 1
         # (a = -1), as the grid route shares it, reaches ~10 standard
         # deviations; the fitted flux is exact in 1-D, so the solve should
-        # match the discrete Gaussian wherever the law is resolvable
+        # match the discrete Gaussian wherever the law is resolvable. The
+        # box stretched on one side is solved unfolded; a boundary column's
+        # diagonal ties with its off-diagonal entry there, and threshold
+        # pivoting let round-off pick the pivot, which cost the far tail
+        # 9e-2 relative error
         system, gains = scalar_two_channel
-        box = rq.default_stationary_box(system, gains, 1, 0.1)
+        b = rq.default_stationary_box(system, gains, 1, 0.1)
+        box = rq.Box(b.lo, stretch * b.hi, b.n)
         solved = rq.solve_stationary_fp_grid(system, gains, 0, 0.1, box=box)
         exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), box).values
         resolvable = exact > 1e-13 * exact.max()
         assert resolvable.sum() > 0.7 * box.n[0]
         rel = np.abs(solved.values - exact)[resolvable] / exact[resolvable]
         assert rel.max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_cells_give_the_uniform_law(self, ou_system, n):
+        # the pin row has no diagonal entry to set in place: one cell has no
+        # face, and the fold of two cells cancels it
+        system, gains = ou_system
+        box = rq.Box([-1.0], [1.0], [n])
+        solved = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
+        np.testing.assert_allclose(solved.values, 0.5, rtol=1e-15)
 
     def test_disconnected_operator_raises_non_unique(self, ou_system):
         # two decoupled zero-flux blocks: a two-dimensional null space that a
