@@ -32,7 +32,6 @@ from .redundancy_analysis import (
 )
 from .reliable_gains import (
     ReliabilityReport,
-    SynthesisOptions,
     solve_care_newton,
     synthesize_gains,
     verify_reliable,

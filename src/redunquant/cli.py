@@ -4,7 +4,6 @@ Usage:
 
     redunquant <command> --config <file> --out <dir>
                [--method closed_form|monte_carlo|grid] [--seed N]
-               [--paper-literal-jacobian] [--avg-normalization paper|mean]
 
 Commands: verify, synth, redundancy, sweep-eps, sweep-time, simulate,
 fp-grid. Exit codes: 0 success; 1 invalid configuration or invocation, or
@@ -42,14 +41,8 @@ from .errors import (
     SynthesisFailedError,
     UnsupportedDiffusionError,
 )
-from .redundancy_analysis import (
-    METHODS,
-    NORMALIZATIONS,
-    epsilon_sweep,
-    systemic_redundancy,
-    time_sweep,
-)
-from .reliable_gains import SynthesisOptions, _synthesize, synthesize_gains, verify_reliable
+from .redundancy_analysis import METHODS, epsilon_sweep, systemic_redundancy, time_sweep
+from .reliable_gains import _synthesize, synthesize_gains, verify_reliable
 from .stochastic_engine import (
     default_sim_params,
     empirical_density,
@@ -73,14 +66,13 @@ _ROOT = "<root>"
 _KEYS = {
     _ROOT: {
         "schema_version", "system", "gains", "epsilon", "rho0", "seed",
-        "method", "grid", "mode", "t_list", "sim", "synthesis",
+        "method", "grid", "mode", "t_list", "sim",
     },
     "system": {"A", "B", "N", "sigma"},
     "sigma": {"constant": {"type", "S"}, "diag_affine": {"type", "c", "s"}},
     "rho0": {"mean", "cov"},
     "grid": {"lo", "hi", "n_cells"},
     "sim": {"horizon", "dt", "n_paths", "hist_cells"},
-    "synthesis": {"theta_max", "margin_floor"},
 }
 
 
@@ -102,7 +94,6 @@ class ProblemSpec:
     horizon: float | None
     dt: float | None
     hist_cells: int
-    synthesis: SynthesisOptions
     raw: dict
 
 
@@ -306,14 +297,6 @@ def parse_config(path) -> ProblemSpec:
         _fail("sim.horizon", "must be at least one step (sim.dt)")
     hist_cells = _integer(sim.get("hist_cells", 64), "sim.hist_cells", 1)
 
-    synth_raw = _object(raw.get("synthesis", {}), "synthesis")
-    synthesis = _build(
-        "synthesis",
-        SynthesisOptions,
-        theta_max=_number(synth_raw.get("theta_max", 1024.0), "synthesis.theta_max"),
-        margin_floor=_number(synth_raw.get("margin_floor", 1e-6), "synthesis.margin_floor"),
-    )
-
     return ProblemSpec(
         system=system,
         gains=gains,
@@ -329,7 +312,6 @@ def parse_config(path) -> ProblemSpec:
         horizon=float(horizon) if horizon is not None else None,
         dt=float(dt) if dt is not None else None,
         hist_cells=hist_cells,
-        synthesis=synthesis,
         raw=raw,
     )
 
@@ -349,8 +331,7 @@ def _epsilon_list(spec: ProblemSpec) -> list[float]:
 def _resolve_gains(spec: ProblemSpec) -> tuple[GainSet, str]:
     if spec.gains is not None:
         return spec.gains, spec.gains_source or "config"
-    gains = synthesize_gains(spec.system, spec.synthesis)
-    return gains, "synthesized"
+    return synthesize_gains(spec.system), "synthesized"
 
 
 def _sim_params(spec: ProblemSpec, gains: GainSet, mode: int) -> tuple[float, float]:
@@ -385,28 +366,18 @@ def run_command(
     *,
     method: str | None = None,
     seed: int | None = None,
-    paper_literal_jacobian: bool = False,
-    avg_normalization: str = "paper",
 ) -> int:
     """Execute one command and write its report files; returns the exit code."""
     started = time.perf_counter()
     method = method or spec.method
     if method not in METHODS:
         _fail_option("method", f"must be one of {METHODS}")
-    if avg_normalization not in NORMALIZATIONS:
-        _fail_option("avg-normalization", f"must be one of {NORMALIZATIONS}")
     seed = spec.seed if seed is None else int(seed)
     if seed < 0:
         _fail_option("seed", f"must be >= 0, got {seed}")
-    options = {
-        "method": method,
-        "seed": seed,
-        "paper_literal_jacobian": paper_literal_jacobian,
-        "avg_normalization": avg_normalization,
-    }
+    options = {"method": method, "seed": seed}
     route = {
         "seed": seed,
-        "avg_normalization": avg_normalization,
         "n_paths": spec.n_paths,
         "horizon": spec.horizon,
         "dt": spec.dt,
@@ -433,7 +404,7 @@ def run_command(
                 )
                 exit_code = 2
         elif cmd == "synth":
-            gains, report = _synthesize(sys_, spec.synthesis)
+            gains, report = _synthesize(sys_)
             outputs = {
                 "method": "closed_form",
                 "gains": [Ki.tolist() for Ki in gains.K],
@@ -465,15 +436,7 @@ def run_command(
             gains, source = _resolve_gains(spec)
             rho0 = spec.rho0 or GaussianDensity(np.zeros(sys_.d), np.eye(sys_.d))
             reference = spec.epsilon if isinstance(spec.epsilon, (int, float)) else None
-            table = time_sweep(
-                sys_,
-                gains,
-                rho0,
-                spec.t_list,
-                reference_eps=reference,
-                avg_normalization=avg_normalization,
-                paper_literal_jacobian=paper_literal_jacobian,
-            )
+            table = time_sweep(sys_, gains, rho0, spec.t_list, reference_eps=reference)
             outputs = {
                 "method": table.reports[0].method,
                 "gains_source": source,
@@ -588,8 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory for reports")
         cmd.add_argument("--method", choices=METHODS, default=None)
         cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--paper-literal-jacobian", action="store_true")
-        cmd.add_argument("--avg-normalization", choices=NORMALIZATIONS, default="paper")
     return parser
 
 
@@ -597,15 +558,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_config(args.config)
-        code = run_command(
-            args.command,
-            spec,
-            args.out,
-            method=args.method,
-            seed=args.seed,
-            paper_literal_jacobian=args.paper_literal_jacobian,
-            avg_normalization=args.avg_normalization,
-        )
+        code = run_command(args.command, spec, args.out, method=args.method, seed=args.seed)
     except (ConfigError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -161,13 +161,13 @@ class GridDensity:
         values = _frozen_array(self.values, name="grid values")
         if values.shape != tuple(self.box.n):
             raise DimensionError(
-                f"values shape {values.shape} does not match grid {tuple(self.box.n)}"
+                f"values shape {values.shape} does not match grid {tuple(self.box.n.tolist())}"
             )
         if values.min() < 0.0:
             raise DomainError("grid values must be nonnegative")
         mass = values.sum() * self.box.cell_volume
         if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"grid density mass is {mass!r}, not 1 within 1e-8")
+            raise DomainError(f"grid density mass is {float(mass)!r}, not 1 within 1e-8")
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -9,8 +9,8 @@ rho0 transports as
 
 The Jacobian factor uses the closed-loop trace, which is what keeps total
 mass constant in time. The paper's literal open-loop trace(A) factor only
-rescales each mode's mass by a constant, which ``liouville_redundancy``
-records instead.
+rescales mode j's mass by exp((trace(A_j) - trace(A)) t), which cancels
+from the redundancy functional.
 
 A non-Gaussian rho0 is a ``GridDensity``; a uniform start on [lo, hi] is
 ``GridDensity.from_unnormalized(Box(lo, hi, [1] * d), np.ones([1] * d))``.

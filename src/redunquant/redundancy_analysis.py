@@ -8,10 +8,8 @@ where mu_0 is the stationary law of the nominal closed loop, mu_i the
 stationary law under outage of channel i, D the relative entropy and H
 the differential entropy. ``liouville_redundancy`` evaluates the same
 functional along the unperturbed density flow at time t instead of the
-stationary laws.
-
-The printed 1/(2N) normalization is the default; ``avg_normalization =
-"mean"`` switches the first term to a plain channel average (1/N).
+stationary laws. The average always takes the paper's 1/(2N); a plain
+channel average (1/N) of the KL terms is ``r + avg_term``.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .info_measures import LN2, gaussian_entropy, gaussian_kl, grid_entropy, gri
 from .liouville_flow import GeneralDensity, _check_time, flow_kl, pushforward_gaussian
 from .reliable_gains import verify_reliable
 from .stochastic_engine import (
+    _check_cell_counts,
     default_sim_params,
     default_stationary_box,
     derived_seed,
@@ -41,7 +40,6 @@ from .stochastic_engine import (
 from .system_model import ConstantDiffusion, GainSet, MultiChannelSystem, closed_loop_matrix
 
 METHODS = ("closed_form", "monte_carlo", "grid")
-NORMALIZATIONS = ("paper", "mean")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +55,6 @@ class RedundancyReport:
     entropy_term: float
     r: float
     method: str
-    normalization: str
     epsilon: float | None = None
     t: float | None = None
     provenance: dict = field(default_factory=dict)
@@ -80,16 +77,12 @@ class SweepTable:
             raise DomainError("sweep parameter column must be strictly increasing")
 
 
-def _verified(
-    sys: MultiChannelSystem, gains: GainSet, avg_normalization: str, method: str = "closed_form"
-) -> str:
-    """Check ``method`` and ``avg_normalization``, then take the one
-    reliability verdict that a call or a whole sweep needs (NotReliableError
-    when a failure mode has no stationary law); returns the normalization."""
+def _verified(sys: MultiChannelSystem, gains: GainSet, method: str = "closed_form") -> None:
+    """Check ``method``, then take the one reliability verdict that a call
+    or a whole sweep needs (NotReliableError when a failure mode has no
+    stationary law)."""
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}")
-    if avg_normalization not in NORMALIZATIONS:
-        raise DomainError(f"avg_normalization must be one of {NORMALIZATIONS}")
     report = verify_reliable(sys, gains)
     if not report.reliable:
         raise NotReliableError(
@@ -97,28 +90,24 @@ def _verified(
             "stationary laws do not exist for every failure mode",
             report=report,
         )
-    return avg_normalization
 
 
 def _assemble_report(
     kls,
     entropy_term: float,
     method: str,
-    normalization: str,
     epsilon: float | None = None,
     t: float | None = None,
     provenance: dict | None = None,
 ) -> RedundancyReport:
     kls = tuple(float(k) for k in kls)
-    denom = 2.0 * len(kls) if normalization == "paper" else float(len(kls))
-    avg_term = math.fsum(kls) / denom if all(math.isfinite(k) for k in kls) else math.inf
+    avg_term = math.fsum(kls) / (2.0 * len(kls)) if all(math.isfinite(k) for k in kls) else math.inf
     return RedundancyReport(
         kl_per_channel=kls,
         avg_term=avg_term,
         entropy_term=float(entropy_term),
         r=avg_term - float(entropy_term),
         method=method,
-        normalization=normalization,
         epsilon=epsilon,
         t=t,
         provenance=provenance or {},
@@ -132,7 +121,6 @@ def systemic_redundancy(
     method: str = "closed_form",
     *,
     seed: int = 42,
-    avg_normalization: str = "paper",
     n_paths: int = 100_000,
     horizon: float | None = None,
     dt: float | None = None,
@@ -155,22 +143,23 @@ def systemic_redundancy(
     shards. Those cover sampling noise only, not histogram bias; below 20
     paths they are nan.
 
-    The grid route solves all N+1 laws on one box with ``grid_cells`` per
-    axis. When sigma is constant and S S^T has a nonzero off-diagonal
-    entry, it solves them in y = U^T x, where S S^T = U diag(lam) U^T
-    (``numpy.linalg.eigh``): there the diffusion is diagonal, so the
-    operator is the five-point M-matrix of diagonal noise, with a positive
-    null vector, instead of a nine-point one with central cross terms. r
-    is the same number in either frame. A configured ``grid_box`` is read
-    in x and replaced by the bounding box of its rotated corners, with the
-    same cell counts; ``grid_lo``/``grid_hi`` then describe that y box, and
-    provenance records ``grid_frame`` = U^T (y = grid_frame @ x). d = 1, a
-    diagonal S S^T and diag_affine noise stay in x and write no
-    ``grid_frame``.
+    The grid route solves all N+1 laws on one box: ``grid_box``, else the
+    hull of the modes' default boxes with ``grid_cells`` per axis. Both
+    given must agree on every axis (DomainError otherwise). When sigma is
+    constant and S S^T has a nonzero off-diagonal entry, it solves them in
+    y = U^T x, where S S^T = U diag(lam) U^T (``numpy.linalg.eigh``): there
+    the diffusion is diagonal, so the operator is the five-point M-matrix
+    of diagonal noise, with a positive null vector, instead of a nine-point
+    one with central cross terms. r is the same number in either frame. A
+    configured ``grid_box`` is read in x and replaced by the bounding box of
+    its rotated corners, with the same cell counts; ``grid_lo``/``grid_hi``
+    then describe that y box, and provenance records ``grid_frame`` = U^T
+    (y = grid_frame @ x). d = 1, a diagonal S S^T and diag_affine noise stay
+    in x and write no ``grid_frame``.
     """
-    normalization = _verified(sys, gains, avg_normalization, method)
+    _verified(sys, gains, method)
     return _stationary_redundancy(
-        sys, gains, eps, method, normalization, seed=seed, n_paths=n_paths, horizon=horizon,
+        sys, gains, eps, method, seed=seed, n_paths=n_paths, horizon=horizon,
         dt=dt, hist_cells=hist_cells, grid_box=grid_box, grid_cells=grid_cells,
     )
 
@@ -187,7 +176,6 @@ def _stationary_redundancy(
     gains: GainSet,
     eps: float,
     method: str,
-    normalization: str,
     *,
     seed: int = 42,
     n_paths: int = 100_000,
@@ -208,7 +196,7 @@ def _stationary_redundancy(
         kls = [gaussian_kl(laws[i], laws[0]) for i in range(1, n + 1)]
         entropy_term = gaussian_entropy(laws[0])
         prov = {"eps": eps}
-        return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
+        return _assemble_report(kls, entropy_term, method, epsilon=eps, provenance=prov)
 
     if method == "monte_carlo":
         if sys.d > 2:
@@ -234,13 +222,14 @@ def _stationary_redundancy(
             "hist_cells": hist_cells,
             "reference_smoothing": _REFERENCE_SMOOTHING,
             "sampler": "exact_endpoint" if exact else "euler_stepped",
-            "standard_error": _batch_means_se(sets, boxes, normalization),
+            "standard_error": _batch_means_se(sets, boxes),
         }
-        return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
+        return _assemble_report(kls, entropy_term, method, epsilon=eps, provenance=prov)
 
     # grid: one shared box so densities are directly comparable
     if sys.d not in (1, 2):
         raise DimensionError("grid redundancy supports d in {1, 2}")
+    _check_cell_counts(grid_box, grid_cells, "grid_box", "grid_cells")
     frame = _diffusion_frame(sys, gains)
     if frame is not None:
         U, sys, gains = frame
@@ -269,7 +258,7 @@ def _stationary_redundancy(
     }
     if frame is not None:
         prov["grid_frame"] = U.T.tolist()
-    return _assemble_report(kls, entropy_term, method, normalization, epsilon=eps, provenance=prov)
+    return _assemble_report(kls, entropy_term, method, epsilon=eps, provenance=prov)
 
 
 def _diffusion_frame(sys: MultiChannelSystem, gains: GainSet):
@@ -308,7 +297,7 @@ def _histogram_terms(sets, boxes) -> tuple[list[float], float]:
 _SE_SHARDS = 10
 
 
-def _batch_means_se(sets, boxes, normalization: str) -> dict:
+def _batch_means_se(sets, boxes) -> dict:
     """Batch-means standard errors of each KL, the entropy and r.
 
     The path indices split into ``_SE_SHARDS`` fixed contiguous shards; the
@@ -324,7 +313,7 @@ def _batch_means_se(sets, boxes, normalization: str) -> dict:
     for k in range(_SE_SHARDS):
         shard = slice(k * n_paths // _SE_SHARDS, (k + 1) * n_paths // _SE_SHARDS)
         kls, entropy = _histogram_terms([replace(s, samples=s.samples[shard]) for s in sets], boxes)
-        rows.append([*kls, entropy, _assemble_report(kls, entropy, "monte_carlo", normalization).r])
+        rows.append([*kls, entropy, _assemble_report(kls, entropy, "monte_carlo").r])
     se = np.std(rows, axis=0, ddof=1) / math.sqrt(_SE_SHARDS)
     return {"kl_per_channel": se[:-2].tolist(), "entropy": float(se[-2]), "r": float(se[-1])}
 
@@ -365,9 +354,6 @@ def liouville_redundancy(
     gains: GainSet,
     rho0: GeneralDensity,
     t: float,
-    *,
-    paper_literal_jacobian: bool = False,
-    avg_normalization: str = "paper",
 ) -> RedundancyReport:
     """Redundancy functional r_t along the unperturbed density flow.
 
@@ -384,14 +370,14 @@ def liouville_redundancy(
     a bound on its error for each KL as ``quadrature_tol`` (bits). t = 0
     gives r = -H(rho0) exactly.
 
-    The literal Jacobian exp(-trace(A) t) only rescales mode j by
-    exp((trace(A_j) - trace(A)) t), so r_t does not depend on
-    ``paper_literal_jacobian``; the flag records that factor as
-    ``raw_masses``. On the Gaussian path, a time at which a pushforward
-    covariance has underflowed gives infinite KL terms and r = inf.
+    The paper's literal Jacobian exp(-trace(A) t) would only rescale mode
+    j's mass by exp((trace(A_j) - trace(A)) t), a factor that cancels from
+    r_t, so the flow uses the closed-loop trace. On the Gaussian path, a
+    time at which a pushforward covariance has underflowed gives infinite
+    KL terms and r = inf.
     """
-    normalization = _verified(sys, gains, avg_normalization)
-    return _flow_redundancy(sys, gains, rho0, t, normalization, paper_literal_jacobian)
+    _verified(sys, gains)
+    return _flow_redundancy(sys, gains, rho0, t)
 
 
 def _flow_redundancy(
@@ -399,8 +385,6 @@ def _flow_redundancy(
     gains: GainSet,
     rho0: GeneralDensity,
     t: float,
-    normalization: str,
-    paper_literal_jacobian: bool,
 ) -> RedundancyReport:
     """``liouville_redundancy`` after its checks and its reliability verdict."""
     t = _check_time(t)
@@ -410,10 +394,6 @@ def _flow_redundancy(
         raise DimensionError(f"density dimension {rho0.dim} does not match state dimension {sys.d}")
     n = sys.n_channels
     prov: dict = {"t": t}
-    if paper_literal_jacobian:
-        traces = np.array([np.trace(closed_loop_matrix(sys, gains, j)) for j in range(n + 1)])
-        drift = np.exp((traces - np.trace(sys.A)) * t).tolist()
-        prov.update(paper_literal_jacobian=True, raw_masses=drift)
 
     if isinstance(rho0, GaussianDensity):
         flows = [_pushforward_or_none(sys, gains, j, rho0, t) for j in range(n + 1)]
@@ -422,15 +402,13 @@ def _flow_redundancy(
             for i in range(1, n + 1)
         ]
         entropy_term = -math.inf if flows[0] is None else gaussian_entropy(flows[0])
-        return _assemble_report(
-            kls, entropy_term, "closed_form", normalization, t=t, provenance=prov
-        )
+        return _assemble_report(kls, entropy_term, "closed_form", t=t, provenance=prov)
 
     terms = [flow_kl(sys, gains, i, rho0, t) for i in range(1, n + 1)]
     prov["quadrature_tol"] = [tol for _, tol in terms]
     entropy_term = grid_entropy(rho0) + float(np.trace(closed_loop_matrix(sys, gains, 0))) * t / LN2
     return _assemble_report(
-        [kl for kl, _ in terms], entropy_term, "grid", normalization, t=t, provenance=prov
+        [kl for kl, _ in terms], entropy_term, "grid", t=t, provenance=prov
     )
 
 
@@ -461,7 +439,6 @@ def epsilon_sweep(
     method: str = "closed_form",
     *,
     seed: int = 42,
-    avg_normalization: str = "paper",
     **method_kwargs,
 ) -> SweepTable:
     """Redundancy across noise levels, with the noise-scaling annotations.
@@ -478,11 +455,11 @@ def epsilon_sweep(
     ordered = _sorted_strictly(eps_list, "eps_list")
     if any(e <= 0.0 for e in ordered):
         raise DomainError("eps_list entries must be positive")
-    normalization = _verified(sys, gains, avg_normalization, method)
+    _verified(sys, gains, method)
     constant = isinstance(sys.sigma, ConstantDiffusion)
     reports = [
         _stationary_redundancy(
-            sys, gains, eps, method, normalization, seed=derived_seed(seed, row), **method_kwargs
+            sys, gains, eps, method, seed=derived_seed(seed, row), **method_kwargs
         )
         for row, eps in enumerate(ordered)
     ]
@@ -534,12 +511,9 @@ def time_sweep(
     t_list,
     *,
     reference_eps: float | None = None,
-    avg_normalization: str = "paper",
-    paper_literal_jacobian: bool = False,
 ) -> SweepTable:
     """Flow redundancy r_t across times, optionally compared against the
-    stationary measure at a reference noise level; ``paper_literal_jacobian``
-    only adds each row's literal mass drift to its provenance.
+    stationary measure at a reference noise level.
 
     Reliability is verified once per sweep, before the first row
     (NotReliableError); every row, and the closed-form reference at
@@ -549,14 +523,11 @@ def time_sweep(
     ordered = _sorted_strictly(t_list, "t_list")
     if ordered[0] < 0.0:
         raise DomainError("t_list entries must be nonnegative")
-    normalization = _verified(sys, gains, avg_normalization)
-    reports = [
-        _flow_redundancy(sys, gains, rho0, t, normalization, paper_literal_jacobian)
-        for t in ordered
-    ]
+    _verified(sys, gains)
+    reports = [_flow_redundancy(sys, gains, rho0, t) for t in ordered]
     r_ref = None
     if reference_eps is not None and isinstance(sys.sigma, ConstantDiffusion):
-        r_ref = _stationary_redundancy(sys, gains, reference_eps, "closed_form", normalization).r
+        r_ref = _stationary_redundancy(sys, gains, reference_eps, "closed_form").r
     pairs = []
     for (t_a, rep_a), (t_b, rep_b) in zip(
         zip(ordered, reports), zip(ordered[1:], reports[1:])

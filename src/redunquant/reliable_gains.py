@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SynthesisFailedError
+from .errors import NumericalError, SynthesisFailedError
 from .system_model import (
     GainSet,
     MultiChannelSystem,
@@ -44,20 +44,6 @@ class ReliabilityReport:
         a = np.array(self.abscissae, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "abscissae", a)
-
-
-@dataclass(frozen=True)
-class SynthesisOptions:
-    """Search bounds of the gain-scaling synthesis loop (Q = I, R = I)."""
-
-    theta_max: float = 1024.0
-    margin_floor: float = 1e-6
-
-    def __post_init__(self):
-        if self.theta_max < 1.0:
-            raise DomainError("theta_max must be at least 1")
-        if self.margin_floor < 0.0:
-            raise DomainError("margin_floor must be nonnegative")
 
 
 def verify_reliable(sys: MultiChannelSystem, gains: GainSet) -> ReliabilityReport:
@@ -151,28 +137,29 @@ def _unstabilizable_eigenvalue(A: np.ndarray, B: np.ndarray) -> float | complex 
     return None
 
 
-def synthesize_gains(
-    sys: MultiChannelSystem, opts: SynthesisOptions | None = None
-) -> GainSet:
+#: The last rung of the gain-effort ladder theta = 1, 2, 4, ..., and the
+#: reliability margin a rung must reach to win.
+_THETA_MAX = 1024.0
+_MARGIN_FLOOR = 1e-6
+
+
+def synthesize_gains(sys: MultiChannelSystem) -> GainSet:
     """First reliable gain set on the doubling gain-effort ladder.
 
-    For theta in {1, 2, 4, ..., theta_max} the stacked-input Riccati
-    equation with Q = I and R = I/theta is solved and the per-channel gains
-    K_i = -theta B_i^T P are checked by verify_reliable; the smallest
-    passing theta wins. A rung whose nominal abscissa is >= 0 raises
+    For theta in {1, 2, 4, ..., 1024} the stacked-input Riccati equation
+    with Q = I and R = I/theta is solved and the per-channel gains K_i =
+    -theta B_i^T P are checked by verify_reliable; the smallest theta whose
+    margin reaches 1e-6 wins. A rung whose nominal abscissa is >= 0 raises
     NumericalError: its Riccati solution is not stabilizing. Higher theta
     means more aggressive feedback, which tolerates channel outages more
     often. A plant that is not stabilizable through all channels together
     fails before the ladder, with the zero-gain report as its best report.
     """
-    return _synthesize(sys, opts)[0]
+    return _synthesize(sys)[0]
 
 
-def _synthesize(
-    sys: MultiChannelSystem, opts: SynthesisOptions | None = None
-) -> tuple[GainSet, ReliabilityReport]:
+def _synthesize(sys: MultiChannelSystem) -> tuple[GainSet, ReliabilityReport]:
     """``synthesize_gains`` with the winning rung's verification report."""
-    opts = opts or SynthesisOptions()
     d = sys.d
     B_full = np.hstack(sys.B)
     splits = np.cumsum(sys.input_dims)[:-1]
@@ -189,7 +176,7 @@ def _synthesize(
     Q, R = np.eye(d), np.eye(B_full.shape[1])
     best_report: ReliabilityReport | None = None
     theta = 1.0
-    while theta <= opts.theta_max * (1.0 + 1e-12):
+    while theta <= _THETA_MAX:
         P, _ = _care_schur(sys.A, B_full, R / theta, Q)
         K_full = -theta * (B_full.T @ P)
         gains = GainSet(np.split(K_full, splits, axis=0))
@@ -199,13 +186,13 @@ def _synthesize(
                 "Riccati solution is not stabilizing: the nominal loop has "
                 f"abscissa {report.abscissae[0]!r}"
             )
-        if report.reliable and report.margin >= opts.margin_floor:
+        if report.reliable and report.margin >= _MARGIN_FLOOR:
             return gains, report
         if best_report is None or report.margin > best_report.margin:
             best_report = report
         theta *= 2.0
     raise SynthesisFailedError(
-        f"no theta <= {opts.theta_max:g} produced a reliable gain set "
+        f"no theta <= {_THETA_MAX:g} produced a reliable gain set "
         f"(best margin {best_report.margin!r}); this is not a certificate "
         "of impossibility",
         best_report=best_report,

@@ -492,6 +492,14 @@ def default_stationary_box(
     return Box(-width, width, np.full(sys.d, int(n_cells)))
 
 
+def _check_cell_counts(box: Box | None, n_cells: int | None, box_name: str, cells_name: str):
+    """DomainError when a box and a cell count are both given and disagree."""
+    if box is not None and n_cells is not None and np.any(box.n != n_cells):
+        raise DomainError(
+            f"{box_name} has {box.n.tolist()} cells per axis but {cells_name} = {n_cells}"
+        )
+
+
 def _bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (e^z - 1), with B(0) = 1 (it underflows to 0 for large z)."""
     safe = np.where(z == 0.0, 1.0, z)
@@ -660,6 +668,9 @@ def solve_stationary_fp_grid(
 ) -> GridDensity:
     """Stationary density on a box: null vector of the zero-flux operator.
 
+    ``box`` defaults to ``default_stationary_box`` with ``n_cells`` per
+    axis; a box and an ``n_cells`` that disagree raise DomainError.
+
     One pinned direct solve (``_pinned_null_vector``) fixes the cell nearest
     the origin, where the zero-mean stationary law peaks. It raises
     NonUniqueError when the operator does not determine the density
@@ -698,6 +709,7 @@ def solve_stationary_fp_grid(
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be a positive real, got {eps!r}")
+    _check_cell_counts(box, n_cells, "box", "n_cells")
     A_j = closed_loop_matrix(sys, gains, mode)
     alpha = spectral_abscissa(A_j)
     if alpha >= 0.0:

@@ -103,8 +103,6 @@ class TestParseConfig:
             (("t_list",), ["x"], "t_list"),
             (("t_list",), [True], "t_list"),
             (("system", "N"), "two", "system.N"),
-            (("synthesis", "theta_max"), "big", "synthesis.theta_max"),
-            (("synthesis", "margin_floor"), [1], "synthesis.margin_floor"),
             (("sim", "n_paths"), True, "sim.n_paths"),
             (("sim", "hist_cells"), False, "sim.hist_cells"),
             (("sim", "horizon"), True, "sim.horizon"),
@@ -141,8 +139,9 @@ class TestParseConfig:
             ("schema_version", "banana", "schema_version"),
             ("schema_version", 2, "schema_version"),
             ("schema_version", None, "schema_version"),
-            ("synthesis", {"Q_weight": [[1.0]]}, "synthesis.Q_weight"),
-            ("synthesis", {"R_weights": [[[1.0]], [[1.0]]]}, "synthesis.R_weights"),
+            # the synthesis ladder has no settings, so no synthesis object
+            ("synthesis", {"Q_weight": [[1.0]]}, "synthesis"),
+            ("synthesis", {"R_weights": [[[1.0]], [[1.0]]]}, "synthesis"),
             ("system", dict(SCALAR_CONFIG["system"], n=2), "system.n"),
             (
                 "system",
@@ -429,34 +428,6 @@ class TestRunCommand:
         report = reporting.parse_report(out / "report.json")
         assert report["outputs"]["gains_source"] == "synthesized"
 
-    def test_avg_normalization_flag(self, tmp_path):
-        spec = parse_config(write_config(tmp_path, SCALAR_CONFIG))
-        out_paper = tmp_path / "paper"
-        out_mean = tmp_path / "mean"
-        assert run_command("redundancy", spec, out_paper) == 0
-        assert run_command("redundancy", spec, out_mean, avg_normalization="mean") == 0
-        r_paper = reporting.parse_report(out_paper / "report.json")["outputs"]["redundancy"]
-        r_mean = reporting.parse_report(out_mean / "report.json")["outputs"]["redundancy"]
-        assert r_mean["avg_term"] == pytest.approx(2.0 * r_paper["avg_term"])
-        assert r_mean["normalization"] == "mean"
-
-    def test_paper_literal_jacobian_flag(self, tmp_path):
-        payload = dict(SCALAR_CONFIG)
-        payload["t_list"] = [0.5, 1.0, 2.0]
-        payload["rho0"] = {"mean": [0.0], "cov": [[1.0]]}
-        spec = parse_config(write_config(tmp_path, payload))
-        assert run_command("sweep-time", spec, tmp_path / "plain") == 0
-        assert run_command("sweep-time", spec, tmp_path / "out", paper_literal_jacobian=True) == 0
-        plain = reporting.parse_report(tmp_path / "plain" / "report.json")
-        report = reporting.parse_report(tmp_path / "out" / "report.json")
-        assert report["options"]["paper_literal_jacobian"] is True
-        rows = report["outputs"]["sweep"]["rows"]
-        for t, row, plain_row in zip(payload["t_list"], rows, plain["outputs"]["sweep"]["rows"]):
-            assert row["method"] == "closed_form"
-            # nominal loop trace -3 against plant trace +1
-            assert row["provenance"]["raw_masses"][0] == pytest.approx(np.exp(-4.0 * t), rel=1e-12)
-            assert row["r"] == plain_row["r"]
-
     def test_fp_grid_density(self, tmp_path):
         payload = {
             "system": {
@@ -517,7 +488,7 @@ class TestReportDeterminism:
         redundancy = reporting.sanitize(systemic_redundancy(system, gains, 0.1))
         assert set(redundancy) == {
             "epsilon", "t", "kl_per_channel", "avg_term", "entropy_term",
-            "r", "method", "normalization", "provenance",
+            "r", "method", "provenance",
         }
         assert isinstance(redundancy["kl_per_channel"], list)
         assert isinstance(redundancy["provenance"], dict)
@@ -669,16 +640,38 @@ class TestExitCodes:
         [
             ("simulate", {"seed": -1}),
             ("redundancy", {"method": "nope"}),
-            ("redundancy", {"avg_normalization": "nope"}),
             ("verify", {}),  # the config has no gains
         ],
-        ids=["seed", "method", "avg_normalization", "verify_without_gains"],
+        ids=["seed", "method", "verify_without_gains"],
     )
     def test_rejected_invocation_creates_no_out_dir(self, tmp_path, cmd, options):
         config = write_config(tmp_path, {k: v for k, v in SCALAR_CONFIG.items() if k != "gains"})
         out = tmp_path / "new"
         with pytest.raises(ConfigValidationError):
             run_command(cmd, parse_config(config), out, **options)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--avg-normalization", "mean"], ["--paper-literal-jacobian"]],
+        ids=["avg_normalization", "paper_literal_jacobian"],
+    )
+    def test_removed_option_is_usage_error(self, tmp_path, option, capsys):
+        # r always takes the paper's 1/(2N), and the literal Jacobian cancels from r_t
+        out = tmp_path / "new"
+        with pytest.raises(SystemExit) as exit_:
+            main(["redundancy", "--config", str(BUNDLED_CONFIG), "--out", str(out), *option])
+        assert exit_.value.code == 1
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synthesis_object_exit1(self, tmp_path, capsys):
+        # the synthesis ladder has fixed bounds, so even an empty object is rejected
+        payload = dict(json.loads(BUNDLED_CONFIG.read_text()), synthesis={})
+        out = tmp_path / "new"
+        code = main(["synth", "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert "error: config field 'synthesis': unknown" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -710,12 +703,8 @@ class TestExitCodes:
             (("rho0",), None),
             (("grid",), None),
             (("sim",), None),
-            (("synthesis",), None),
         ],
-        ids=[
-            "root", "system", "sigma_constant", "sigma_diag_affine",
-            "rho0", "grid", "sim", "synthesis",
-        ],
+        ids=["root", "system", "sigma_constant", "sigma_diag_affine", "rho0", "grid", "sim"],
     )
     def test_unknown_key_of_every_object_exit1(self, tmp_path, path, sigma, capsys):
         payload = dict(
@@ -723,7 +712,6 @@ class TestExitCodes:
             rho0={"mean": [0.0], "cov": [[1.0]]},
             grid={"lo": [-1.0], "hi": [1.0], "n_cells": [10]},
             sim={},
-            synthesis={},
         )
         if sigma is not None:
             payload["system"]["sigma"] = dict(sigma)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,56 @@ class TestGaussianDensityType:
         xs = np.linspace(-10, 10, 4001)[:, None]
         mass = np.trapezoid(g.pdf(xs), dx=20 / 4000)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+_LINE = rq.Box([-1.0], [1.0], [4])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: rq.Box([0.0, 0.0], [1.0], [4]),
+            DimensionError, "lo, hi and n must have equal lengths", id="box_lengths",
+        ),
+        pytest.param(
+            lambda: rq.Box([1.0], [1.0], [4]),
+            DomainError, "hi > lo on every axis", id="box_empty",
+        ),
+        pytest.param(
+            lambda: rq.Box([0.0], [1.0], [0]),
+            DomainError, "at least one cell", id="box_no_cell",
+        ),
+        pytest.param(
+            lambda: rq.GaussianDensity([0.0], [1.0]),
+            DimensionError, "cov must be square", id="gaussian_cov_shape",
+        ),
+        pytest.param(
+            lambda: rq.GaussianDensity([0.0], np.eye(2)),
+            DimensionError, "mean and cov dimensions disagree", id="gaussian_dims",
+        ),
+        pytest.param(
+            lambda: rq.GaussianDensity([0.0], [[np.inf]]),
+            DomainError, "cov contains non-finite entries", id="gaussian_cov_inf",
+        ),
+        pytest.param(
+            lambda: rq.GridDensity(_LINE, np.full(5, 0.4)),
+            DimensionError, "values shape (5,) does not match grid (4,)", id="grid_shape",
+        ),
+        pytest.param(
+            lambda: rq.GridDensity(_LINE, [1.0, -0.5, 0.5, 1.0]),
+            DomainError, "grid values must be nonnegative", id="grid_negative",
+        ),
+        pytest.param(
+            lambda: rq.GridDensity(_LINE, np.full(4, 1.0)),
+            DomainError, "grid density mass is 2.0, not 1", id="grid_mass",
+        ),
+        pytest.param(
+            lambda: rq.GridDensity.from_unnormalized(_LINE, np.zeros(4)),
+            DomainError, "total mass is not positive", id="grid_unnormalizable",
+        ),
+    ],
+)
+def test_typed_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

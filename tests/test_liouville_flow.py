@@ -221,3 +221,11 @@ class TestFlowKL:
         assert flow_kl(system, gains, 2, rho0, 0.3) == (0.0, 0.0)
         with pytest.raises(AssertionError, match="equal loops"):
             flow_kl(system, gains, 1, rho0, 0.3)
+
+
+def test_pushforward_dimension_mismatch():
+    # the one typed error of this module that no other test reaches
+    system, gains = _ou_single()
+    g0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
+    with pytest.raises(DimensionError, match="dimension 2 does not match state dimension 1"):
+        rq.pushforward_gaussian(system, gains, 0, g0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,13 +98,6 @@ class TestSystemicRedundancy:
         gains = rq.GainSet([[[0.0]], [[0.0]]])
         with pytest.raises(UnsupportedDiffusionError):
             rq.systemic_redundancy(system, gains, 0.5, "closed_form")
-
-    def test_mean_normalization(self, scalar_two_channel):
-        system, gains = scalar_two_channel
-        paper = rq.systemic_redundancy(system, gains, 0.1, avg_normalization="paper")
-        mean = rq.systemic_redundancy(system, gains, 0.1, avg_normalization="mean")
-        assert mean.avg_term == pytest.approx(2.0 * paper.avg_term, abs=1e-12)
-        assert mean.r == pytest.approx(paper.r + paper.avg_term, abs=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
@@ -272,6 +266,26 @@ class TestGridFrame:
         assert y.min(axis=0).tolist() == prov["grid_lo"]
         assert y.max(axis=0).tolist() == prov["grid_hi"]
 
+    @pytest.mark.parametrize("n, cells", [([41, 41], 801), ([41, 37], 41)], ids=["both", "one"])
+    def test_box_and_cell_count_that_differ_raise_before_rotating(self, monkeypatch, n, cells):
+        # a grid_box fixes the cell counts, so a grid_cells that differs on
+        # any axis is rejected, before the box is read in the diffusion frame
+        system, gains = _full_s_plane()
+        monkeypatch.setattr(
+            rq.redundancy_analysis, "_diffusion_frame", lambda *a: pytest.fail("rotated")
+        )
+        box = rq.Box([-1.0, -1.0], [1.0, 1.0], n)
+        message = rf"grid_box has \[{n[0]}, {n[1]}\] cells per axis but grid_cells = {cells}"
+        with pytest.raises(DomainError, match=message):
+            rq.systemic_redundancy(system, gains, 0.3, "grid", grid_box=box, grid_cells=cells)
+
+    def test_box_and_cell_count_that_agree_are_one_grid(self, scalar_two_channel):
+        system, gains = scalar_two_channel
+        box = rq.Box([-0.5], [0.5], [51])
+        both = rq.systemic_redundancy(system, gains, 0.1, "grid", grid_box=box, grid_cells=51)
+        assert both.r == rq.systemic_redundancy(system, gains, 0.1, "grid", grid_box=box).r
+        assert both.provenance["grid_cells"] == [51]
+
     def test_epsilon_sweep_matches_closed_form_per_row(self):
         system, gains = _full_s_plane()
         grid = rq.epsilon_sweep(system, gains, [0.1, 0.3], "grid")
@@ -341,34 +355,6 @@ class TestLiouvilleRedundancy:
         assert numeric.kl_per_channel == (math.inf, math.inf)
         assert numeric.r == math.inf
 
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_paper_literal_jacobian_records_mass_drift(self, scalar_two_channel, t):
-        system, gains = scalar_two_channel
-        rho0 = rq.GaussianDensity([0.0], [[1.0]])
-        # the plant has trace +1; the nominal loop has trace -3 and either
-        # outage loop -1, so the literal density of mode j integrates to
-        # e^{(trace(A_j) - trace(A)) t}
-        drift = np.exp(np.array([-4.0, -2.0, -2.0]) * t)
-        plain = rq.liouville_redundancy(system, gains, rho0, t)
-        literal = rq.liouville_redundancy(system, gains, rho0, t, paper_literal_jacobian=True)
-        assert literal.method == "closed_form"
-        assert literal.provenance["paper_literal_jacobian"] is True
-        assert literal.provenance["raw_masses"] == pytest.approx(drift, rel=1e-12)
-        assert literal.r == plain.r
-
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_grid_start_records_the_same_mass_drift(self, t):
-        # the plant has trace -3, the nominal loop -1 and either outage loop -2
-        system, gains = _fast_outage_plant()
-        drift = np.exp(np.array([2.0, 1.0, 1.0]) * t).tolist()
-        start = _sampled_normal()
-        plain = rq.liouville_redundancy(system, gains, start, t)
-        literal = rq.liouville_redundancy(system, gains, start, t, paper_literal_jacobian=True)
-        assert literal.method == "grid"
-        assert literal.provenance["paper_literal_jacobian"] is True
-        assert literal.provenance["raw_masses"] == drift
-        assert literal.r == plain.r
-
     def test_underflowed_pushforward_gives_infinite_r(self, scalar_two_channel):
         # the nominal pushforward variance e^{-6t} is subnormal at t = 120
         # and 0.0 at t = 150
@@ -381,23 +367,12 @@ class TestLiouvilleRedundancy:
         assert gone.entropy_term == -math.inf
         assert gone.r == math.inf
 
-    @pytest.mark.parametrize("literal", [False, True], ids=["plain", "literal"])
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
-    def test_invalid_time_rejected(self, scalar_two_channel, t, literal):
+    def test_invalid_time_rejected(self, scalar_two_channel, t):
         system, gains = scalar_two_channel
         rho0 = rq.GaussianDensity([0.0], [[1.0]])
         with pytest.raises(DomainError, match="time must be"):
-            rq.liouville_redundancy(system, gains, rho0, t, paper_literal_jacobian=literal)
-
-    def test_infinite_time_rejected_before_zero_trace_drift(self):
-        # every loop keeps trace(A): the literal drift would be inf * 0
-        system = rq.MultiChannelSystem(
-            np.diag([-1.0, -1.0]), [[[0.0], [1.0]]], rq.ConstantDiffusion(np.eye(2))
-        )
-        gains = rq.GainSet([[[1.0, 0.0]]])
-        rho0 = rq.GaussianDensity([0.0, 0.0], np.eye(2))
-        with pytest.raises(DomainError, match="time must be"):
-            rq.liouville_redundancy(system, gains, rho0, math.inf, paper_literal_jacobian=True)
+            rq.liouville_redundancy(system, gains, rho0, t)
 
 
 class TestGridStartFlow:
@@ -498,15 +473,10 @@ class TestGridStartFlow:
         with pytest.raises(NumericalError, match="singular in floating point"):
             rq.liouville_redundancy(system, gains, uniform_start([-1.0], [1.0]), 300.0)
 
-    @pytest.mark.parametrize("literal", [False, True], ids=["plain", "literal"])
-    def test_provenance_layout(self, literal):
+    def test_provenance_layout(self):
         system, gains = _fast_outage_plant()
-        gaussian = rq.liouville_redundancy(
-            system, gains, rq.GaussianDensity([0.0], [[1.0]]), 0.5, paper_literal_jacobian=literal
-        )
-        grid = rq.liouville_redundancy(
-            system, gains, uniform_start([-1.0], [1.0]), 0.5, paper_literal_jacobian=literal
-        )
+        gaussian = rq.liouville_redundancy(system, gains, rq.GaussianDensity([0.0], [[1.0]]), 0.5)
+        grid = rq.liouville_redundancy(system, gains, uniform_start([-1.0], [1.0]), 0.5)
         assert list(grid.provenance) == [*gaussian.provenance, "quadrature_tol"]
 
     def test_time_sweep_rows_match_single_calls(self):
@@ -677,3 +647,51 @@ class TestOneVerdictPerSweep:
         rho0 = rq.GaussianDensity([0.0], [[1.0]])
         with pytest.raises(NotReliableError):
             rq.time_sweep(system, stabilizing_only, rho0, self.TIMES, reference_eps=0.1)
+
+
+def _flow_row(system, gains):
+    return rq.liouville_redundancy(system, gains, rq.GaussianDensity([0.0], [[1.0]]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(system, gains, 0.0),
+            DomainError, "eps must be a positive real", id="eps_zero",
+        ),
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(system, gains, -0.1, "grid"),
+            DomainError, "eps must be a positive real", id="eps_negative_grid",
+        ),
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(system, gains, 0.1, "exact"),
+            DomainError, "method must be one of", id="method",
+        ),
+        pytest.param(
+            lambda system, gains: rq.epsilon_sweep(system, gains, []),
+            DomainError, "eps_list must be nonempty", id="empty_eps_list",
+        ),
+        pytest.param(
+            lambda system, gains: rq.time_sweep(
+                system, gains, rq.GaussianDensity([0.0], [[1.0]]), [-0.5, 1.0]
+            ),
+            DomainError, "t_list entries must be nonnegative", id="negative_time",
+        ),
+        pytest.param(
+            lambda system, gains: rq.SweepTable(
+                "t", (0.0, 1.0), (_flow_row(system, gains),), (), {}
+            ),
+            DimensionError, "one report per parameter value", id="sweep_lengths",
+        ),
+        pytest.param(
+            lambda system, gains: rq.SweepTable(
+                "t", (1.0, 0.0), (_flow_row(system, gains),) * 2, (), {}
+            ),
+            DomainError, "must be strictly increasing", id="sweep_order",
+        ),
+    ],
+)
+def test_typed_errors(scalar_two_channel, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(*scalar_two_channel)

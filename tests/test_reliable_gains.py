@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redunquant as rq
-from redunquant.errors import DomainError, NumericalError, SynthesisFailedError
+from redunquant.errors import NumericalError, SynthesisFailedError
 from redunquant.reliable_gains import solve_care_newton
 
 from .conftest import random_gains, random_system
@@ -219,12 +219,6 @@ class TestSynthesis:
         )
         gains = rq.synthesize_gains(system)
         assert rq.verify_reliable(system, gains).reliable
-
-    def test_options_validation(self):
-        with pytest.raises(DomainError):
-            rq.SynthesisOptions(theta_max=0.5)
-        with pytest.raises(DomainError):
-            rq.SynthesisOptions(margin_floor=-1.0)
 
     def test_d32_single_input_plant(self):
         # the closed_form benchmark's d=32 synthesis plant; a Newton-Kleinman

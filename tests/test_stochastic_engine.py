@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -9,8 +10,10 @@ import scipy.sparse.linalg
 import redunquant as rq
 from redunquant import stochastic_engine
 from redunquant.errors import (
+    DimensionError,
     DivergenceError,
     DomainError,
+    GridMismatchError,
     NonUniqueError,
     NotHurwitzError,
     NumericalError,
@@ -768,6 +771,16 @@ class TestGridSolver:
         rel = np.abs(solved.values - exact)[resolvable] / exact[resolvable]
         assert rel.max() <= 1e-10
 
+    def test_box_and_cell_count_must_agree(self, ou_system):
+        # a box fixes its own cell counts; a differing n_cells was silently dropped
+        system, gains = ou_system
+        box = rq.Box([-1.0], [1.0], [51])
+        with pytest.raises(DomainError, match=r"box has \[51\] cells per axis but n_cells = 801"):
+            rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box, n_cells=801)
+        agreed = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box, n_cells=51)
+        alone = rq.solve_stationary_fp_grid(system, gains, 0, 1.0, box=box)
+        np.testing.assert_array_equal(agreed.values, alone.values)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_cells_give_the_uniform_law(self, ou_system, n):
         # the pin row has no diagonal entry to set in place: one cell has no
@@ -793,3 +806,87 @@ class TestGridSolver:
         pair = scipy.sparse.csc_matrix([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(NonUniqueError, match="pivot ratio 0.000e"):
             _pinned_null_vector(scipy.sparse.block_diag([pair, pair], format="csc"), 0)
+
+
+_OU = (
+    rq.MultiChannelSystem([[-1.0]], [[[1.0]]], rq.ConstantDiffusion([[1.0]])),
+    rq.GainSet([[[0.0]]]),
+)
+_CUBE = rq.MultiChannelSystem(-np.eye(3), [np.eye(3)], rq.ConstantDiffusion(np.eye(3)))
+_LINE = rq.Box([-3.0], [3.0], [30])
+_SQUARE = rq.Box([-3.0, -3.0], [3.0, 3.0], [5, 5])
+_UNIT = rq.GaussianDensity([0.0], [[1.0]])
+
+
+def _on_line(box=_LINE):
+    return rq.GridDensity.from_unnormalized(box, np.ones(tuple(box.n)))
+
+
+def _samples(samples=np.zeros((4, 1)), dt=0.1):
+    return rq.SampleSet(samples, seed=0, t_final=1.0, dt=dt, mode=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: rq.stationary_gaussian(*_OU, 0, 0.0),
+            DomainError, "eps must be a positive real", id="stationary_gaussian_eps",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, -1.0, 1.0, 0.1, 4, seed=1),
+            DomainError, "eps must be a nonnegative real", id="simulate_eps",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 4, seed=-1),
+            DomainError, "seed must be nonnegative", id="simulate_seed",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 4, seed=1, x0=[0.0, 0.0]),
+            DimensionError, "x0 has dimension 2, expected 1", id="simulate_x0",
+        ),
+        pytest.param(
+            lambda: _samples(np.zeros((0, 1))),
+            DimensionError, "samples must be a nonempty n x d matrix", id="sample_set_empty",
+        ),
+        pytest.param(lambda: _samples(dt=0.0), DomainError, "need dt > 0", id="sample_set_dt"),
+        pytest.param(
+            lambda: rq.empirical_density(_samples(), _SQUARE),
+            DimensionError, "box dimension 2 does not match samples (1)", id="histogram_box",
+        ),
+        pytest.param(
+            lambda: rq.solve_stationary_fp_grid(*_OU, 0, 0.0),
+            DomainError, "eps must be a positive real", id="grid_eps",
+        ),
+        pytest.param(
+            lambda: rq.solve_stationary_fp_grid(*_OU, 0, 1.0, box=_SQUARE),
+            DimensionError, "box dimension 2 does not match state dimension 1", id="grid_box",
+        ),
+        pytest.param(
+            lambda: rq.fp_residual(_on_line(), *_OU, 0, 1.0, rq.Box([-3.0], [3.0], [31])),
+            GridMismatchError, "explicit box does not match", id="residual_box_mismatch",
+        ),
+        pytest.param(
+            lambda: rq.fp_residual(_UNIT, *_OU, 0, 1.0),
+            DomainError, "a box is required", id="residual_gaussian_without_box",
+        ),
+        pytest.param(
+            lambda: rq.fp_residual(np.ones(30), *_OU, 0, 1.0, _LINE),
+            DomainError, "unsupported density type ndarray", id="residual_type",
+        ),
+        pytest.param(
+            lambda: rq.fp_residual(_on_line(_SQUARE), *_OU, 0, 1.0),
+            DimensionError, "box dimension 2 does not match state dimension 1", id="residual_dim",
+        ),
+        pytest.param(
+            lambda: rq.fp_residual(
+                rq.GaussianDensity(np.zeros(3), np.eye(3)), _CUBE, rq.GainSet([np.zeros((3, 3))]),
+                0, 1.0, rq.Box(-np.ones(3), np.ones(3), [3, 3, 3]),
+            ),
+            DimensionError, "fp_residual supports d <= 2", id="residual_d3",
+        ),
+    ],
+)
+def test_typed_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

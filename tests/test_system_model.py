@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -276,3 +278,66 @@ class TestLyapunov:
         P = rq.solve_lyapunov(A_cl, Q)
         np.testing.assert_array_equal(P, P.T)
         assert np.linalg.eigvalsh(P).min() > 0.0
+
+
+_SIGMA = rq.ConstantDiffusion([[1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: rq.MultiChannelSystem([[1.0, 0.0]], [[[1.0]]], _SIGMA),
+            DimensionError, "A must be square, got shape (1, 2)", id="system_A_not_square",
+        ),
+        pytest.param(
+            lambda: rq.MultiChannelSystem([[1.0]], [], _SIGMA),
+            DimensionError, "at least one input channel", id="system_no_channel",
+        ),
+        pytest.param(
+            lambda: rq.MultiChannelSystem([[1.0]], [[[1.0]]], [[1.0]]),
+            DomainError, "sigma must be a ConstantDiffusion", id="system_sigma",
+        ),
+        pytest.param(
+            lambda: rq.MultiChannelSystem([[1.0]], [[[1.0]]], rq.ConstantDiffusion(np.eye(2))),
+            DimensionError, "diffusion dimension 2 does not match state dimension 1",
+            id="system_sigma_dim",
+        ),
+        pytest.param(lambda: rq.GainSet([]), DimensionError, "at least one gain", id="gains_empty"),
+        pytest.param(
+            lambda: rq.spectral_abscissa(np.ones(3)),
+            DimensionError, "M must be square", id="abscissa_shape",
+        ),
+        pytest.param(
+            lambda: rq.spectral_abscissa([[np.nan]]),
+            DomainError, "M contains non-finite entries", id="abscissa_nan",
+        ),
+        pytest.param(
+            lambda: rq.matrix_exponential(np.ones((2, 3)), 1.0),
+            DimensionError, "M must be square", id="expm_shape",
+        ),
+        pytest.param(
+            lambda: rq.matrix_exponential([[np.inf]], 1.0),
+            DomainError, "inputs must be finite", id="expm_inf_M",
+        ),
+        pytest.param(
+            lambda: rq.matrix_exponential([[-1.0]], np.nan),
+            DomainError, "inputs must be finite", id="expm_nan_t",
+        ),
+        pytest.param(
+            lambda: rq.solve_lyapunov(np.ones((1, 2)), np.eye(2)),
+            DimensionError, "A_cl must be square", id="lyapunov_A_shape",
+        ),
+        pytest.param(
+            lambda: rq.solve_lyapunov(-np.eye(2), np.eye(3)),
+            DimensionError, "Q shape (3, 3) does not match A_cl", id="lyapunov_Q_shape",
+        ),
+        pytest.param(
+            lambda: rq.solve_lyapunov(-np.eye(2), -np.eye(2)),
+            DomainError, "Q must be positive semidefinite", id="lyapunov_Q_indefinite",
+        ),
+    ],
+)
+def test_typed_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
