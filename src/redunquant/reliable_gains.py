@@ -184,7 +184,7 @@ def _synthesize(sys: MultiChannelSystem) -> tuple[GainSet, ReliabilityReport]:
         if report.abscissae[0] >= 0.0:  # the nominal loop A + B K is A - G P
             raise NumericalError(
                 "Riccati solution is not stabilizing: the nominal loop has "
-                f"abscissa {report.abscissae[0]!r}"
+                f"abscissa {float(report.abscissae[0])!r}"
             )
         if report.reliable and report.margin >= _MARGIN_FLOOR:
             return gains, report

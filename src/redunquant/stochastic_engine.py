@@ -7,7 +7,7 @@ Three routes produce the stationary law of
 * ``simulate_sde`` + ``empirical_density`` — Euler-Maruyama Monte
   Carlo. For constant sigma the Euler endpoint is an exact Gaussian,
   drawn directly from one RNG stream; diag_affine paths are stepped
-  through the recursion with per-path keyed streams;
+  through the recursion, each block of 64 paths on one keyed stream;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
@@ -55,8 +55,9 @@ from .system_model import (
 )
 
 _DIVERGENCE_LIMIT = 1e12
-_CHUNK_STEPS = 4000
-_MAX_NOISE_ELEMENTS = 20_000_000
+_CHUNK_STEPS = 512
+_MAX_NOISE_ELEMENTS = 2**21
+_STREAM_PATHS = 64
 # CPUs this process may run on; os.cpu_count() counts the host's
 _FILL_WORKERS = min(
     4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -97,10 +98,10 @@ def derived_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    # independent stream keyed by (seed, path_index); SeedSequence spawn
-    # keys are the stock numpy derivation for parallel streams
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
+def _block_stream(seed: int, block: int) -> np.random.Generator:
+    # the noise of paths [64 block, 64 block + 64), keyed by (seed, block);
+    # SeedSequence spawn keys are the stock numpy derivation for parallel streams
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -182,21 +183,25 @@ def simulate_sde(
       rows times a Cholesky factor of C_n (positive definite for eps > 0,
       since C_n >= E E^T and S S^T is elliptic). eps = 0 returns
       ``M^n x0`` exactly.
-    * diag_affine sigma: every path is stepped. Path i draws its noise
-      from its own stream keyed by (seed, i), so its noise does not
-      depend on batching, execution order or thread count. Neither does
-      its endpoint, except that at d >= 2 a block of one path is stepped
-      by BLAS's matrix-vector kernel, which can round differently.
-      Paths run in blocks with one noise buffer each, of at most
-      ``_MAX_NOISE_ELEMENTS`` normals: a chunk of ``_CHUNK_STEPS // m``
-      steps (at least one), i.e. ``_CHUNK_STEPS`` normals per path for
-      m <= ``_CHUNK_STEPS``. The fill pool draws the chunk of every stream
-      into it, then the calling thread steps it; the two are not
-      overlapped, because the step's small ufuncs and the fill threads
-      contend for the GIL. Each step
+    * diag_affine sigma: every path is stepped. Each block of
+      ``_STREAM_PATHS`` = 64 paths shares one SFC64 stream keyed by
+      (seed, i // 64), drawn in step order: m*64 normals per step, as an
+      (m, 64) array whose column i mod 64 is path i's. A partial last
+      block is padded to 64 columns, stepped but neither checked nor
+      returned. So path i's noise, and its endpoint bit for bit, depend
+      neither on ``n_paths`` nor on chunking, path blocks or fill threads;
+      every product with M is at least 64 columns wide, so BLAS never
+      switches to its matrix-vector kernel, which rounds differently.
+      Streams run in blocks with one noise buffer each, (streams, steps,
+      m, 64), of at most ``_MAX_NOISE_ELEMENTS`` = 2**21 normals (16 MiB)
+      for m <= 32768: a chunk of ``_CHUNK_STEPS // m`` steps (at least
+      one). The fill pool draws each stream's chunk with one call into its
+      contiguous (steps, m, 64) slab, then the calling thread steps it;
+      the two are not overlapped, because the step's small ufuncs and the
+      fill threads contend for the GIL. Each step
       ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
-      sqrt(dt)``) runs in place on preallocated (d, nb) buffers, and
-      reads its noise as an (m, nb) strided view of the buffer.
+      sqrt(dt)``) runs in place on preallocated (d, paths) buffers and
+      reads its noise as one run of m*64 contiguous normals per stream.
 
     Divergence: a state with |x| > 1e12, or a non-finite one, raises
     DivergenceError carrying the first offending path index. The direct
@@ -253,58 +258,55 @@ def simulate_sde(
             )
         return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
-    m = sys.sigma.m
-
-    def advance(x, noise):
-        # the state is stepped as (d, nb) so every operand runs along
-        # the paths, not along a length-d inner axis; the amplitudes are
-        # spread to (d, nb) too, since an in-place ufunc that broadcasts a
-        # (d, 1) operand takes about twice as long as one on equal shapes
-        x = np.ascontiguousarray(x.T)
-        y = np.empty_like(x)
-        kick = np.empty_like(x)
-        slope = np.repeat(amp * sys.sigma.slope[:, None], x.shape[1], axis=1)
-        base = np.repeat(amp * sys.sigma.base[:, None], x.shape[1], axis=1)
-        for xi in noise.reshape(len(noise), -1, m).transpose(1, 2, 0):
-            np.abs(x, out=kick)
-            kick *= slope
-            kick += base
-            kick *= xi
-            np.matmul(step_map, x, out=y)
-            y += kick
-            x, y = y, x
-        return x.T
-
-    # One noise buffer per path block: the pool fills it, then this thread
-    # steps it. Filling the next chunk while stepping this one saves
+    # One noise buffer per block of streams: the pool fills it, then this
+    # thread steps it. Filling the next chunk while stepping this one saves
     # nothing: each small ufunc of the step releases the GIL and a fill
-    # thread takes it between paths, so a d=2 chunk of 1000 paths that
-    # steps in ~20 ms alone takes 22-121 ms beside one or two fill threads,
-    # and two half-size buffers filled in turn were no faster. Path i's
-    # chunk is the prefix of row i; each row is padded by one cache line,
-    # because rows exactly 32 000 B apart put a step's reads, one column
-    # of m values per path, on a quarter of the L1 sets.
+    # thread takes it between calls, so a d=2 chunk of 1000 paths that
+    # steps in ~20 ms alone took 22-121 ms beside one or two fill threads,
+    # and two half-size buffers filled in turn were no faster.
+    m = sys.sigma.m
     span = min(max(1, _CHUNK_STEPS // m), n_steps)
-    block_paths = max(1, _MAX_NOISE_ELEMENTS // (span * m))
+    block_streams = max(1, _MAX_NOISE_ELEMENTS // (span * m * _STREAM_PATHS))
+    n_streams = -(-n_paths // _STREAM_PATHS)
     samples = np.empty((n_paths, d))
     with ThreadPoolExecutor(_FILL_WORKERS) as pool:
-        for start in range(0, n_paths, block_paths):
-            stop = min(start + block_paths, n_paths)
-            gens = [_path_generator(seed, i) for i in range(start, stop)]
-            edges = np.linspace(0, len(gens), _FILL_WORKERS + 1, dtype=int)
-            buf = np.empty((len(gens), span * m + 8))
-            x = np.tile(x0, (len(gens), 1))
+        for first_stream in range(0, n_streams, block_streams):
+            streams = [
+                _block_stream(seed, b)
+                for b in range(first_stream, min(first_stream + block_streams, n_streams))
+            ]
+            edges = np.linspace(0, len(streams), _FILL_WORKERS + 1, dtype=int)
+            buf = np.empty((len(streams), span, m, _STREAM_PATHS))
+            start = first_stream * _STREAM_PATHS
+            real = min(n_paths - start, len(streams) * _STREAM_PATHS)  # then padding
+            # the state is stepped as (d, paths), so every operand runs along
+            # the paths, not along a length-d inner axis; the amplitudes are
+            # spread to (d, paths) too, since an in-place ufunc that
+            # broadcasts a (d, 1) operand takes about twice as long as one on
+            # equal shapes
+            x = np.tile(x0[:, None], (1, len(streams) * _STREAM_PATHS))
+            y, kick = np.empty_like(x), np.empty_like(x)
+            kick_lanes = kick.reshape(d, len(streams), _STREAM_PATHS)
+            slope = np.repeat(amp * sys.sigma.slope[:, None], x.shape[1], axis=1)
+            base = np.repeat(amp * sys.sigma.base[:, None], x.shape[1], axis=1)
             for first in range(0, n_steps, span):
                 steps = min(span, n_steps - first)
-                noise = buf[:, : steps * m]
 
                 def fill(lo, hi):
-                    for i in range(lo, hi):
-                        gens[i].standard_normal(out=noise[i])
+                    for b in range(lo, hi):
+                        streams[b].standard_normal(out=buf[b, :steps])
 
                 list(pool.map(fill, edges[:-1], edges[1:]))
-                x = advance(x, noise)
-                bad = _diverged(x)
+                for xi in buf[:, :steps].transpose(1, 2, 0, 3):  # (m, streams, 64)
+                    np.abs(x, out=kick)
+                    kick *= slope
+                    kick += base
+                    kick_lanes *= xi
+                    np.matmul(step_map, x, out=y)
+                    y += kick
+                    x, y = y, x
+                paths = x[:, :real].T
+                bad = _diverged(paths)
                 if np.any(bad):
                     idx = start + int(np.argmax(bad))
                     raise DivergenceError(
@@ -312,7 +314,7 @@ def simulate_sde(
                         "(non-Hurwitz mode or dt too large?)",
                         path_index=idx,
                     )
-            samples[start:stop] = x
+            samples[start : start + real] = paths
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 
@@ -730,7 +732,7 @@ def solve_stationary_fp_grid(
     # threshold scales with the density peak (peaks grow like eps^-d)
     if float(values.min()) < -1e-10 * float(values.max()):
         raise NumericalError(
-            f"stationary solution has negative entries down to {values.min()!r}"
+            f"stationary solution has negative entries down to {float(values.min())!r}"
         )
     values = np.clip(values, 0.0, None)
     return GridDensity.from_unnormalized(box, values)

@@ -244,8 +244,10 @@ def euler_endpoint_cov_reference(M, Q, n):
 def euler_stepped_reference(system, A_cl, eps, dt, n_steps, n_paths, seed, x0=None):
     """Euler-Maruyama endpoints stepped one path and one step at a time.
 
-    Path i draws m normals per step from its own SFC64 stream keyed by
-    ``SeedSequence(seed, spawn_key=(i,))`` and applies
+    Path i reads the SFC64 stream keyed by
+    ``SeedSequence(seed, spawn_key=(i // 64,))``, which its block of 64
+    paths shares: each step draws an (m, 64) array from it, takes column
+    ``i % 64`` as xi and applies
     ``x <- x + dt A_cl x + eps sqrt(dt) sigma(x) xi``, with no chunking,
     batching or threads.
     """
@@ -255,11 +257,11 @@ def euler_stepped_reference(system, A_cl, eps, dt, n_steps, n_paths, seed, x0=No
     amp = eps * np.sqrt(dt)
     out = np.empty((n_paths, d))
     for i in range(n_paths):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i // 64,))
         rng = np.random.Generator(np.random.SFC64(ss))
         x = np.zeros(d) if x0 is None else np.array(x0, float)
         for _ in range(n_steps):
-            xi = rng.standard_normal(sigma.m)
+            xi = rng.standard_normal((sigma.m, 64))[:, i % 64]
             if hasattr(sigma, "matrix"):
                 kick = sigma.matrix @ xi
             else:

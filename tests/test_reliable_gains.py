@@ -195,6 +195,15 @@ class TestSynthesis:
         with pytest.raises(NumericalError, match="not stabilizing"):
             rq.synthesize_gains(system)
 
+    def test_non_stabilizing_rung_message_prints_a_float(self, monkeypatch):
+        system = rq.MultiChannelSystem(
+            [[1.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]])
+        )
+        unstable = rq.ReliabilityReport(abscissae=[0.5, -1.0, -1.0], margin=-0.5, reliable=False)
+        monkeypatch.setattr(rq.reliable_gains, "verify_reliable", lambda sys, gains: unstable)
+        with pytest.raises(NumericalError, match=r"nominal loop has abscissa 0\.5$"):
+            rq.synthesize_gains(system)
+
     def test_public_riccati_solver_keeps_its_hurwitz_check(self, monkeypatch):
         monkeypatch.setattr(
             rq.reliable_gains, "_care_schur", lambda A, B, R, Q, tol: (np.zeros_like(A), B @ B.T)

@@ -138,7 +138,7 @@ class TestSimulate:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_path_prefix_independent_of_n_paths(self, ou_system):
-        # stream keyed by (seed, path): adding paths never changes earlier ones
+        # row i of one (n_paths, d) draw: adding paths never changes earlier ones
         system, gains = ou_system
         small = rq.simulate_sde(system, gains, 0, 1.0, 1.0, 1e-2, 40, seed=3)
         large = rq.simulate_sde(system, gains, 0, 1.0, 1.0, 1e-2, 160, seed=3)
@@ -156,10 +156,10 @@ class TestSimulate:
         assert 0 <= err.value.path_index < 5
 
     def test_divergence_diag_affine_with_fill_in_flight(self):
-        # the first chunk's endpoint is far past the limit with chunks
-        # still to fill; the pool must not outlive the call
+        # the first chunk's endpoint is far past the limit (1.2^512 ~ 1e40)
+        # with chunks still to fill; the pool must not outlive the call
         system = rq.MultiChannelSystem(
-            [[2.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
+            [[20.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
         )
         span = stochastic_engine._CHUNK_STEPS // 2
         threads_before = threading.active_count()
@@ -171,9 +171,10 @@ class TestSimulate:
         assert threading.active_count() == threads_before
 
     def test_divergence_diag_affine_counts_steps(self):
-        # the message counts steps, not the m normals per step in a chunk
+        # the message counts steps, not the m normals per step in a chunk;
+        # the first chunk already grows the state by 1.15^256 ~ 4e15
         sigma = rq.DiagAffineDiffusion([1.0, 1.0], [0.5, 0.5])
-        system = rq.MultiChannelSystem([[2.0, 0.0], [0.0, 1.5]], [np.zeros((2, 1))], sigma)
+        system = rq.MultiChannelSystem([[20.0, 0.0], [0.0, 15.0]], [np.zeros((2, 1))], sigma)
         span = stochastic_engine._CHUNK_STEPS // 2
         with pytest.raises(DivergenceError, match=f"by step {span} ") as err:
             rq.simulate_sde(
@@ -250,7 +251,8 @@ _PLANE_NOISE = {
 
 class TestSimulateStepping:
     """The stepped (diag_affine) simulate_sde against a plain per-path,
-    per-step loop, and its independence of path blocks and fill threads."""
+    per-step loop, and its independence of n_paths, path blocks and fill
+    threads."""
 
     @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
     @pytest.mark.parametrize("blocks", [1, 3], ids=["one_block", "three_blocks"])
@@ -258,10 +260,10 @@ class TestSimulateStepping:
         system, gains, A = _plane(_PLANE_NOISE[kind])
         span = stochastic_engine._CHUNK_STEPS // 2
         n_steps, n_paths, dt = 2 * span + 7, 7, 1e-3  # last chunk partial
-        if blocks > 1:  # -> 3 paths per block
-            m = system.sigma.m
-            noise_per_path = (stochastic_engine._CHUNK_STEPS // m) * m
-            monkeypatch.setattr(stochastic_engine, "_MAX_NOISE_ELEMENTS", 3 * noise_per_path)
+        if blocks > 1:  # -> blocks of one stream: 64, 64 and 7 paths
+            n_paths += 2 * stochastic_engine._STREAM_PATHS
+            stream_chunk = 2 * span * stochastic_engine._STREAM_PATHS
+            monkeypatch.setattr(stochastic_engine, "_MAX_NOISE_ELEMENTS", stream_chunk)
         x0 = [0.5, -0.25]
         out = rq.simulate_sde(system, gains, 0, 0.9, n_steps * dt, dt, n_paths, 13, x0=x0)
         ref = euler_stepped_reference(system, A, 0.9, dt, n_steps, n_paths, 13, x0=x0)
@@ -271,11 +273,14 @@ class TestSimulateStepping:
     def test_independent_of_fill_workers(self, monkeypatch, kind):
         system, gains, _ = _plane(_PLANE_NOISE[kind])
         span = stochastic_engine._CHUNK_STEPS // 2
+        n_paths = 3 * stochastic_engine._STREAM_PATHS + 11  # four streams to share out
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(stochastic_engine, "_FILL_WORKERS", workers)
             runs.append(
-                rq.simulate_sde(system, gains, 0, 1.0, (2 * span + 5) * 1e-3, 1e-3, 11, 6).samples
+                rq.simulate_sde(
+                    system, gains, 0, 1.0, (2 * span + 5) * 1e-3, 1e-3, n_paths, 6
+                ).samples
             )
         for other in runs[1:]:
             assert np.array_equal(other, runs[0])
@@ -288,20 +293,33 @@ class TestSimulateStepping:
         sigma = rq.DiagAffineDiffusion([0.7, 0.9][:d], [0.3, 0.5][:d])
         system = rq.MultiChannelSystem(A, [np.zeros((d, 1))], sigma)
         gains = rq.GainSet([np.zeros((1, d))])
-        n_steps = 2 * (stochastic_engine._CHUNK_STEPS // d) + 7
+        span = stochastic_engine._CHUNK_STEPS // d
+        n_steps = 2 * span + 7
+        n_paths = 2 * stochastic_engine._STREAM_PATHS + 8  # three streams, the last partial
 
         def run(**knobs):
             with monkeypatch.context() as patch:
                 for name, value in knobs.items():
                     patch.setattr(stochastic_engine, name, value)
-                return rq.simulate_sde(system, gains, 0, 1.0, n_steps * 1e-3, 1e-3, 8, 5).samples
+                return rq.simulate_sde(
+                    system, gains, 0, 1.0, n_steps * 1e-3, 1e-3, n_paths, 5
+                ).samples
 
         default = run()
         assert np.array_equal(run(_CHUNK_STEPS=7), default)
-        # blocks of 3, 3 and 2 paths: a block of one path would be stepped
-        # by BLAS's matrix-vector kernel, which rounds differently at d=2
-        blocked = run(_MAX_NOISE_ELEMENTS=3 * stochastic_engine._CHUNK_STEPS)
-        assert np.array_equal(blocked, default)
+        stream_chunk = span * d * stochastic_engine._STREAM_PATHS
+        for streams in (1, 2):  # blocks of 1, 1, 1 and of 2, 1 streams
+            blocked = run(_MAX_NOISE_ELEMENTS=streams * stream_chunk)
+            assert np.array_equal(blocked, default)
+
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65])
+    def test_path_prefix_independent_of_n_paths(self, n_paths):
+        # a partial block is padded to 64 columns, so even one path is
+        # stepped by the same matrix-matrix kernel as a 160-path run
+        system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
+        large = rq.simulate_sde(system, gains, 0, 1.0, 2.0, 1e-3, 160, 3).samples
+        small = rq.simulate_sde(system, gains, 0, 1.0, 2.0, 1e-3, n_paths, 3).samples
+        assert np.array_equal(small, large[:n_paths])
 
     def test_more_noise_channels_than_chunk_normals(self, monkeypatch):
         # m > _CHUNK_STEPS: each chunk is one step of m normals per path
@@ -312,17 +330,45 @@ class TestSimulateStepping:
         assert np.array_equal(one_step, default)
 
     def test_noise_memory_is_one_chunk_per_path(self):
-        # one noise buffer of _CHUNK_STEPS normals per path, over a run of
-        # several chunks; the state and step buffers are O(d) per path
+        # one noise buffer of _CHUNK_STEPS normals per path, padded to whole
+        # streams, over a run of several chunks; the state and step buffers
+        # are O(d) per path
         system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
         n_paths = 200
+        lanes = stochastic_engine._STREAM_PATHS
         tracemalloc.start()
         try:
             rq.simulate_sde(system, gains, 0, 1.0, 5000 * 1e-3, 1e-3, n_paths, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * stochastic_engine._CHUNK_STEPS * n_paths + 1e6
+        padded = -(-n_paths // lanes) * lanes
+        assert peak <= 1.25 * 8 * stochastic_engine._CHUNK_STEPS * padded + 1e6
+
+    def test_noise_memory_at_a_thousand_paths(self):
+        # 1000 paths x 10 000 steps at d=2 need one 4.2 MB buffer: 16
+        # streams of 256 steps x 2 x 64 normals
+        system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
+        tracemalloc.start()
+        try:
+            rq.simulate_sde(system, gains, 0, 1.0, 10.0, 1e-3, 1000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_one_stream_per_block_of_paths(self, monkeypatch):
+        system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
+        keys = []
+        stream = stochastic_engine._block_stream
+
+        def counting_stream(seed, block):
+            keys.append((seed, block))
+            return stream(seed, block)
+
+        monkeypatch.setattr(stochastic_engine, "_block_stream", counting_stream)
+        rq.simulate_sde(system, gains, 0, 1.0, 20e-3, 1e-3, 1000, 3)
+        assert keys == [(3, b) for b in range(16)]
 
 
 class TestEulerEndpoints:
@@ -638,6 +684,12 @@ class TestGridSolver:
         exact = _discretized(rq.stationary_gaussian(system, gains, 0, 0.1), solved.box)
         l1 = np.abs(solved.values - exact.values).sum() * solved.box.cell_volume
         assert l1 <= 2e-2
+
+    def test_negativity_message_prints_a_float(self):
+        # the strict-xfail plant above, whose guard reports about -8e-3
+        system, gains = eccentric_plant(0, diagonal=False)
+        with pytest.raises(NumericalError, match=r"negative entries down to -\d[\d.e-]*$"):
+            rq.solve_stationary_fp_grid(system, gains, 0, 0.1)
 
     def test_ou_fitted_flux_is_exact(self, ou_system):
         # the exponentially fitted flux reproduces exp(-x^2) cell to cell
