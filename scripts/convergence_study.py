@@ -4,22 +4,25 @@ Three studies on the unit Ornstein-Uhlenbeck loop (exact stationary law
 N(0, 1/2)): second-order decay of the stationary-operator residual under
 grid refinement, the grid solver's L1 error (at round-off: its fitted
 fluxes are exact for linear drift in 1-D), and Monte Carlo histogram
-error versus path count. Two grid studies on eccentric, rotated d=2 loops
-(A = R diag(-1, -k) R^T, eps = 0.1): the L1 error at 51^2, 101^2 and
-201^2 on one plant with diagonal S, and how many of 40 plants with a full
-S (central cross-diffusion terms) still fail at 101^2 in the x-frame
-solver. For the same 40 plants, the grid redundancy through
-``systemic_redundancy``, which solves in the eigenbasis of S S^T: its
-failure count and its error against the closed form at 101^2 and 201^2.
-Another
-compares the Monte Carlo redundancy of the scalar two-channel system
-(eps = 0.1) with its closed form over 8 seeds, in units of the reported
-batch-means standard error: at 2k paths expect a positive mean, since
-that SE covers sampling noise only and the histogram estimate is biased
-upward at small n. The last one runs the flow route from a random 4x4
-grid start on [-1, 1]^2 under A = -2I, B = [I, I], K = [I, 0]: the
-error of KL_1 against the exact interval-overlap reference of
-tests/oracles.py, next to the reported quadrature tolerance.
+error versus path count. The grid redundancy of the bundled scalar
+two-channel plant (configs/scalar_two_channel.json) against its closed form
+at 201, 801 and 3201 cells, eps 0.1 and 0.5: about -5e-8 bits, the
+reference's tail included down to where it underflows. Two grid studies
+on eccentric, rotated d=2 loops (A = R diag(-1, -k) R^T, eps = 0.1): the
+L1 error at 51^2, 101^2 and 201^2 on one plant with diagonal S, and how
+many of 40 plants with a full S (central cross-diffusion terms) still
+fail at 101^2 in the x-frame solver. For the same 40 plants, the grid
+redundancy through ``systemic_redundancy``, which solves in the
+eigenbasis of S S^T: its failure count and its error against the closed
+form at 101^2 and 201^2. Another compares the Monte Carlo redundancy of
+the scalar two-channel system (eps = 0.1) with its closed form over 8
+seeds, in units of the reported batch-means standard error: at 2k paths
+expect a positive mean, since that SE covers sampling noise only and the
+histogram estimate is biased upward at small n. The last one runs the
+flow route from a random 4x4 grid start on [-1, 1]^2 under A = -2I, B =
+[I, I], K = [I, 0]: the error of KL_1 against the exact interval-overlap
+reference of tests/oracles.py, next to the reported quadrature
+tolerance.
 
 Usage: python scripts/convergence_study.py [--out OUTDIR] [--quick]
 """
@@ -91,6 +94,18 @@ def main():
         print(f"  n={n:5d}  L1={l1:.3e}")
     (args.out / "grid_l1.csv").write_text("\n".join(lines) + "\n")
 
+    bundled = rq.MultiChannelSystem([[1.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]]))
+    bundled_gains = rq.GainSet([[[-2.0]], [[-2.0]]])
+    lines = ["eps,n_cells,r_grid_minus_closed"]
+    print("\ngrid r minus closed form on configs/scalar_two_channel.json:")
+    for eps in (0.1, 0.5):
+        r_closed = rq.systemic_redundancy(bundled, bundled_gains, eps).r
+        for n in (201, 801, 3201):
+            r_grid = rq.systemic_redundancy(bundled, bundled_gains, eps, "grid", grid_cells=n).r
+            lines.append(f"{eps},{n},{r_grid - r_closed:.6e}")
+            print(f"  eps={eps}  n={n:5d}  r_grid - r_closed={r_grid - r_closed:+.2e} bits")
+    (args.out / "grid_r_bundled.csv").write_text("\n".join(lines) + "\n")
+
     ecc_system, ecc_gains = eccentric_plant(1, diagonal=True)
     ecc_law = rq.stationary_gaussian(ecc_system, ecc_gains, 0, 0.1)
     lines = ["n_cells,l1_error"]
@@ -142,18 +157,14 @@ def main():
         print(f"  n={n_paths:7d}  var rel err={var_err:.4f}  hist L1={l1:.4f}")
     (args.out / "mc_convergence.csv").write_text("\n".join(lines) + "\n")
 
-    two_channel = rq.MultiChannelSystem(
-        [[1.0]], [[[1.0]], [[1.0]]], rq.ConstantDiffusion([[1.0]])
-    )
-    two_gains = rq.GainSet([[[-2.0]], [[-2.0]]])
-    r_closed = rq.systemic_redundancy(two_channel, two_gains, 0.1).r
+    r_closed = rq.systemic_redundancy(bundled, bundled_gains, 0.1).r
     lines = ["n_paths,seed,r_mc,r_mc_minus_closed,se_r,z"]
     print(f"\nMonte Carlo r vs closed form {r_closed:.4f} bits, z = (r_mc - r_closed)/SE:")
     for n_paths in (2_000, 100_000):
         zs = []
         for seed in range(8):
             report = rq.systemic_redundancy(
-                two_channel, two_gains, 0.1, "monte_carlo", seed=seed, n_paths=n_paths
+                bundled, bundled_gains, 0.1, "monte_carlo", seed=seed, n_paths=n_paths
             )
             se = report.provenance["standard_error"]["r"]
             zs.append((report.r - r_closed) / se)

@@ -24,11 +24,18 @@ LN2 = math.log(2.0)
 DENSITY_FLOOR = 1e-300
 
 
-def _clamp_kl(value: float) -> float:
-    # exact zero for q == p; tiny negative round-off is clamped, anything
-    # larger signals a real defect
+#: If cells where p <= DENSITY_FLOOR hold more than this much of q's mass,
+#: the KL is the +inf sentinel instead of a silently truncated sum.
+_MAX_UNDERFLOW_MASS = 1e-3
+
+
+def _clamp_kl(value: float, left_out: float = 0.0) -> float:
+    # exact zero for q == p; tiny negative round-off is clamped, and so is
+    # the deficit of up to left_out / ln 2 bits that leaving out q-mass
+    # left_out can cause (log-sum inequality); anything larger signals a
+    # real defect
     if value < 0.0:
-        if value > -1e-8:
+        if value > -(1e-8 + left_out / LN2):
             return 0.0
         raise NumericalError(f"KL divergence evaluated to {value!r} < 0")
     return value
@@ -78,15 +85,25 @@ def grid_entropy(rho: GridDensity) -> float:
 def grid_kl(q: GridDensity, p: GridDensity) -> float:
     """Relative entropy estimator between densities on one shared grid.
 
-    Cells with q_c at or below the floor contribute 0. A cell with
-    q_c above the floor but p_c at or below it means q is not absolutely
-    continuous w.r.t. p on the grid; the result is the +inf sentinel.
+    Cells with q_c at or below the floor contribute 0. Cells with p_c at
+    or below it (p has underflowed there, or a solver clamped its round-off
+    to 0) are left out. If they hold more than 1e-3 of q's mass, q is not
+    absolutely continuous w.r.t. p on the grid and the result is the +inf
+    sentinel.
     """
+    return _grid_kl_and_left_out(q, p)[0]
+
+
+def _grid_kl_and_left_out(q: GridDensity, p: GridDensity) -> tuple[float, float]:
+    """``grid_kl`` and the q-mass on the cells it leaves out."""
     require_same_grid(q, p)
     qv = q.values
     pv = p.values
-    active = qv > DENSITY_FLOOR
-    if np.any(active & (pv <= DENSITY_FLOOR)):
-        return math.inf
+    volume = q.box.cell_volume
+    underflow = pv <= DENSITY_FLOOR
+    left_out = float(qv[underflow].sum() * volume)
+    if left_out > _MAX_UNDERFLOW_MASS:
+        return math.inf, left_out
+    active = (qv > DENSITY_FLOOR) & ~underflow
     terms = qv[active] * (np.log2(qv[active]) - np.log2(pv[active]))
-    return _clamp_kl(float(terms.sum() * q.box.cell_volume))
+    return _clamp_kl(float(terms.sum() * volume), left_out), left_out

@@ -22,7 +22,8 @@ import numpy as np
 
 from .densities import Box, GaussianDensity, GridDensity
 from .errors import DimensionError, DomainError, NotReliableError
-from .info_measures import LN2, gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
+from .info_measures import LN2, _grid_kl_and_left_out
+from .info_measures import gaussian_entropy, gaussian_kl, grid_entropy, grid_kl
 from .liouville_flow import GeneralDensity, _check_time, flow_kl, pushforward_gaussian
 from .reliable_gains import verify_reliable
 from .stochastic_engine import (
@@ -155,7 +156,9 @@ def systemic_redundancy(
     its rotated corners, with the same cell counts; ``grid_lo``/``grid_hi``
     then describe that y box, and provenance records ``grid_frame`` = U^T
     (y = grid_frame @ x). d = 1, a diagonal S S^T and diag_affine noise stay
-    in x and write no ``grid_frame``.
+    in x and write no ``grid_frame``. Its KLs are ``grid_kl``'s: cells where
+    the reference has underflowed to 0 are left out, and provenance records
+    the outage law's mass on them as ``kl_mass_where_reference_underflows``.
     """
     _verified(sys, gains, method)
     return _stationary_redundancy(
@@ -243,18 +246,13 @@ def _stationary_redundancy(
     densities = [
         solve_stationary_fp_grid(sys, gains, j, eps, box=grid_box) for j in range(n + 1)
     ]
-    kls = []
-    dropped = []
-    for i in range(1, n + 1):
-        kl_i, dropped_i = _solver_kl(densities[i], densities[0])
-        kls.append(kl_i)
-        dropped.append(dropped_i)
+    kls, left_out = zip(*(_grid_kl_and_left_out(q, densities[0]) for q in densities[1:]))
     entropy_term = grid_entropy(densities[0])
     prov = {
         "grid_lo": grid_box.lo.tolist(),
         "grid_hi": grid_box.hi.tolist(),
         "grid_cells": grid_box.n.tolist(),
-        "kl_mass_below_resolution": dropped,
+        "kl_mass_where_reference_underflows": list(left_out),
     }
     if frame is not None:
         prov["grid_frame"] = U.T.tolist()
@@ -316,37 +314,6 @@ def _batch_means_se(sets, boxes) -> dict:
         rows.append([*kls, entropy, _assemble_report(kls, entropy, "monte_carlo").r])
     se = np.std(rows, axis=0, ddof=1) / math.sqrt(_SE_SHARDS)
     return {"kl_per_channel": se[:-2].tolist(), "entropy": float(se[-2]), "r": float(se[-1])}
-
-
-#: Solver outputs cannot resolve density values below this fraction of
-#: their peak; cells under it carry discretization noise, not tail mass.
-_SOLVER_RESOLUTION = 1e-13
-
-#: If more than this much q-mass sits where the reference density is
-#: unresolvable, the KL is reported as the +inf sentinel instead of a
-#: silently truncated number.
-_MAX_UNRESOLVED_MASS = 1e-3
-
-
-def _solver_kl(q: GridDensity, p: GridDensity) -> tuple[float, float]:
-    """Histogram KL between solver outputs, floored at solver resolution.
-
-    True stationary densities are positive everywhere, but a grid solution
-    bottoms out at round-off well above the generic density floor; cells
-    below that resolution are excluded and the q-mass they carry is
-    returned as a diagnostic (its KL contribution is bounded by that mass
-    times the log-ratio at the support edge, negligible when small).
-    """
-    resolvable = p.values > _SOLVER_RESOLUTION * p.values.max()
-    volume = q.box.cell_volume
-    dropped = float(q.values[~resolvable].sum() * volume)
-    if dropped > _MAX_UNRESOLVED_MASS:
-        return math.inf, dropped
-    qv = q.values[resolvable]
-    pv = p.values[resolvable]
-    active = qv > 0.0
-    kl = float(np.sum(qv[active] * (np.log2(qv[active]) - np.log2(pv[active]))) * volume)
-    return max(kl, 0.0), dropped
 
 
 def liouville_redundancy(

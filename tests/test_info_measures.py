@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redunquant as rq
-from redunquant.errors import DimensionError, DomainError, GridMismatchError
+from redunquant.errors import DimensionError, DomainError, GridMismatchError, NumericalError
+from redunquant.info_measures import _clamp_kl, _grid_kl_and_left_out
 
 from .oracles import entropy_quad_bits, kl_quad_bits, normal_pdf
 
@@ -138,6 +139,32 @@ class TestGridEstimators:
         q = rq.GridDensity(box, np.array([2.0, 2.0, 0.0, 0.0]))
         p = rq.GridDensity(box, np.array([0.0, 0.0, 2.0, 2.0]))
         assert rq.grid_kl(q, p) == math.inf
+
+    def test_cells_where_reference_underflows_are_left_out_up_to_a_thousandth(self):
+        box = rq.Box([0.0], [5.0], [5])
+        p = rq.GridDensity(box, [0.25, 0.25, 0.25, 0.25, 0.0])
+        q = rq.GridDensity(box, [0.25, 0.25, 0.125, 0.375 - 5e-4, 5e-4])
+        kept = q.values[:4]
+        assert rq.grid_kl(q, p) == pytest.approx(np.sum(kept * np.log2(kept / 0.25)), rel=1e-12)
+        q = rq.GridDensity(box, [0.25, 0.25, 0.125, 0.375 - 2e-3, 2e-3])
+        assert rq.grid_kl(q, p) == math.inf
+
+    def test_deficit_from_mass_left_out_is_clamped(self):
+        # leaving out q-mass d pulls the sum over the kept cells down to
+        # (1 - d) log2(1 - d) >= -d / ln 2 (log-sum inequality)
+        box = rq.Box([0.0], [5.0], [5])
+        p = rq.GridDensity(box, [0.25, 0.25, 0.25, 0.25, 0.0])
+        q = rq.GridDensity(box, [0.25 * (1.0 - 1e-4)] * 4 + [1e-4])
+        kl, left_out = _grid_kl_and_left_out(q, p)
+        assert kl == 0.0
+        assert left_out == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("left_out", [0.0, 1e-4])
+    def test_negative_kl_raises_beyond_the_deficit_of_mass_left_out(self, left_out):
+        bound = 1e-8 + left_out / math.log(2.0)
+        assert _clamp_kl(-bound * (1.0 - 1e-6), left_out) == 0.0
+        with pytest.raises(NumericalError, match="< 0"):
+            _clamp_kl(-bound * (1.0 + 1e-6), left_out)
 
     def test_2d_estimators_match_closed_forms(self):
         box = rq.Box([-8.0, -8.0], [8.0, 8.0], [401, 401])

@@ -12,8 +12,8 @@ from redunquant.errors import (
     NumericalError,
     UnsupportedDiffusionError,
 )
-from redunquant.info_measures import grid_entropy
-from redunquant.redundancy_analysis import _direction, _solver_kl
+from redunquant.info_measures import _grid_kl_and_left_out, grid_entropy
+from redunquant.redundancy_analysis import _direction
 
 from .conftest import eccentric_plant, random_grid_start, random_system, uniform_start
 from .oracles import diagonal_pullback_kl_bits, entropy_quad_bits, kl_quad_bits, normal_pdf
@@ -181,14 +181,38 @@ class TestSystemicRedundancy:
             assert all(math.isfinite(k) and k >= 0.0 for k in report.kl_per_channel)
 
     def test_solver_kl_is_infinite_where_reference_is_unresolvable(self):
-        # q puts 1e-2 of its mass, more than the 1e-3 allowed, on cells where
-        # p is below solver resolution
+        # q puts 1e-2 of its mass, more than the 1e-3 allowed, on a cell where
+        # p is exactly 0; cells where p is tiny but positive are kept
         box = rq.Box([0.0], [4.0], [4])
         p = rq.GridDensity(box, [1.0 - 2e-14, 1e-14, 1e-14, 0.0])
         q = rq.GridDensity(box, [0.99, 0.0, 0.0, 0.01])
-        kl, dropped = _solver_kl(q, p)
+        kl, left_out = _grid_kl_and_left_out(q, p)
         assert kl == math.inf
-        assert dropped == pytest.approx(1e-2)
+        assert left_out == pytest.approx(1e-2)
+        q = rq.GridDensity(box, [0.98, 0.01, 0.01, 0.0])
+        assert _grid_kl_and_left_out(q, p)[1] == 0.0
+
+    @pytest.mark.parametrize("n_cells", [201, 801])
+    def test_bundled_grid_r_matches_closed_form(self, scalar_two_channel, n_cells):
+        # the reference's tail, below 1e-23 of its peak at the box edge,
+        # carries ~1.2e-4 bits of r; a cut at 1e-13 of the peak lost it
+        system, gains = scalar_two_channel
+        grid = rq.systemic_redundancy(system, gains, 0.1, "grid", grid_cells=n_cells)
+        assert grid.r == pytest.approx(R_SCALAR_EPS_01, abs=1e-7)
+        assert grid.provenance["kl_mass_where_reference_underflows"] == [0.0, 0.0]
+
+    def test_grid_r_finite_where_reference_tail_is_far_below_its_peak(self):
+        # draw 9 of random_system(default_rng(11), 2, 2), counting the draws
+        # where synthesis fails: more than 1e-3 of an outage law's mass sits
+        # where the reference is below 1e-13 of its peak, and those cells
+        # are solved accurately enough to count
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            system = random_system(rng, 2, 2)
+        gains = rq.synthesize_gains(system)
+        grid = rq.systemic_redundancy(system, gains, 0.3, "grid", grid_cells=201)
+        assert grid.r == pytest.approx(rq.systemic_redundancy(system, gains, 0.3).r, abs=2e-3)
+        assert all(m <= 1e-3 for m in grid.provenance["kl_mass_where_reference_underflows"])
 
 
 def _full_s_plane():
@@ -249,7 +273,7 @@ class TestGridFrame:
             rq.solve_stationary_fp_grid(system, gains, j, eps, box=box)
             for j in range(system.n_channels + 1)
         ]
-        kls = tuple(_solver_kl(q, laws[0])[0] for q in laws[1:])
+        kls = tuple(_grid_kl_and_left_out(q, laws[0])[0] for q in laws[1:])
         assert report.kl_per_channel == kls
         assert report.entropy_term == grid_entropy(laws[0])
 
