@@ -337,17 +337,18 @@ def _resolve_gains(spec: ProblemSpec) -> tuple[GainSet, str]:
 def _sim_params(spec: ProblemSpec, gains: GainSet, mode: int) -> tuple[float, float]:
     """(horizon, dt) of one simulated mode: the configured values, else the
     mode's defaults. A horizon left to default on a non-Hurwitz mode, or a
-    configured value that leaves no whole step against the other's
-    default, is an error of that configuration field."""
+    configured value that leaves no whole step, or a step count that
+    overflows, against the other's default, is an error of that
+    configuration field."""
     try:
         horizon, dt = default_sim_params(spec.system, gains, mode, spec.horizon, spec.dt)
     except NotHurwitzError as exc:
         _fail("sim.horizon", f"has no default: {exc}")
+    field = "sim.horizon" if spec.horizon is not None else "sim.dt"
     if horizon < dt:
-        _fail(
-            "sim.horizon" if spec.horizon is not None else "sim.dt",
-            f"horizon {horizon!r} is shorter than one step (dt {dt!r} in mode {mode})",
-        )
+        _fail(field, f"horizon {horizon!r} is shorter than one step (dt {dt!r} in mode {mode})")
+    if not np.isfinite(horizon / dt):
+        _fail(field, f"horizon {horizon!r} / dt {dt!r} is not a finite step count (mode {mode})")
     return horizon, dt
 
 

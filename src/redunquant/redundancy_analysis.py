@@ -132,14 +132,14 @@ def systemic_redundancy(
     """Redundancy of the stationary laws at noise level eps.
 
     ``method`` selects how the N+1 stationary densities are produced:
-    exact Gaussians (constant sigma only), Euler-Maruyama histograms, or
+    exact Gaussians (constant sigma only), histograms of Euler endpoints, or
     grid solutions of the stationary transport operator.
 
     The Monte Carlo route takes each mode's endpoints from
     ``simulate_sde``, which draws them exactly when sigma is constant and
     steps them otherwise; unset ``horizon``/``dt`` take each mode's
     ``default_sim_params``. Provenance names the sampler
-    (``"exact_endpoint"`` or ``"euler_stepped"``) and carries batch-means
+    (``"exact_endpoint"`` or ``"euler_two_point"``) and carries batch-means
     standard errors of each KL, the entropy and r over 10 fixed path
     shards. Those cover sampling noise only, not histogram bias; below 20
     paths they are nan.
@@ -224,7 +224,7 @@ def _stationary_redundancy(
             "dt": dts,
             "hist_cells": hist_cells,
             "reference_smoothing": _REFERENCE_SMOOTHING,
-            "sampler": "exact_endpoint" if exact else "euler_stepped",
+            "sampler": "exact_endpoint" if exact else "euler_two_point",
             "standard_error": _batch_means_se(sets, boxes),
         }
         return _assemble_report(kls, entropy_term, method, epsilon=eps, provenance=prov)

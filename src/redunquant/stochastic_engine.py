@@ -4,10 +4,11 @@ Three routes produce the stationary law of
 ``dx = A_j x dt + eps * sigma(x) dW``:
 
 * ``stationary_gaussian`` — exact, for constant sigma (a Lyapunov solve);
-* ``simulate_sde`` + ``empirical_density`` — Euler-Maruyama Monte
-  Carlo. For constant sigma the Euler endpoint is an exact Gaussian,
-  drawn directly from one RNG stream; diag_affine paths are stepped
-  through the recursion, each block of 64 paths on one keyed stream;
+* ``simulate_sde`` + ``empirical_density`` — Euler Monte Carlo. For
+  constant sigma the Euler-Maruyama endpoint is an exact Gaussian, drawn
+  directly from one RNG stream; diag_affine paths are stepped through
+  the weak Euler recursion with +-1 increments, one random bit per path
+  and step, each block of 64 paths on one keyed stream;
 * ``solve_stationary_fp_grid`` — a finite-volume discretization of the
   stationary second-order transport operator with zero-flux boundaries,
   for d in {1, 2}, whose null vector comes from one sparse LU solve with
@@ -168,40 +169,50 @@ def simulate_sde(
     seed: int,
     x0: np.ndarray | None = None,
 ) -> SampleSet:
-    """Euler-Maruyama endpoints of n_paths trajectories of the perturbed loop.
+    """Weak Euler endpoints of n_paths trajectories of the perturbed loop.
 
     The recursion ``x_{k+1} = M x_k + eps sqrt(dt) sigma(x_k) xi_k`` with
     ``M = I + dt A_j`` runs ``n = round(horizon/dt)`` steps from x0 (zero
-    by default). Two samplers draw its endpoint:
+    by default); a horizon/dt that is not a finite number raises
+    DomainError. Two samplers draw its endpoint:
 
-    * constant sigma = S: the endpoint is exactly ``N(M^n x0, C_n)``,
+    * constant sigma = S: xi_k are standard normals (Euler-Maruyama), so
+      the endpoint is exactly ``N(M^n x0, C_n)``,
       ``C_n = sum_{j<n} M^j E E^T M^j^T`` with ``E = eps sqrt(dt) S``
-      (``euler_endpoint_law``), so it is drawn directly with d normals per
+      (``euler_endpoint_law``), and it is drawn directly with d normals per
       path instead of n*m. The normals come from one SFC64 stream seeded
       by ``seed`` as one (n_paths, d) block, row i for path i, so the
       first k paths do not depend on ``n_paths``; the endpoints are those
       rows times a Cholesky factor of C_n (positive definite for eps > 0,
       since C_n >= E E^T and S S^T is elliptic). eps = 0 returns
       ``M^n x0`` exactly.
-    * diag_affine sigma: every path is stepped. Each block of
-      ``_STREAM_PATHS`` = 64 paths shares one SFC64 stream keyed by
-      (seed, i // 64), drawn in step order: m*64 normals per step, as an
-      (m, 64) array whose column i mod 64 is path i's. A partial last
-      block is padded to 64 columns, stepped but neither checked nor
-      returned. So path i's noise, and its endpoint bit for bit, depend
-      neither on ``n_paths`` nor on chunking, path blocks or fill threads;
-      every product with M is at least 64 columns wide, so BLAS never
-      switches to its matrix-vector kernel, which rounds differently.
-      Streams run in blocks with one noise buffer each, (streams, steps,
-      m, 64), of at most ``_MAX_NOISE_ELEMENTS`` = 2**21 normals (16 MiB)
-      for m <= 32768: a chunk of ``_CHUNK_STEPS // m`` steps (at least
-      one). The fill pool draws each stream's chunk with one call into its
-      contiguous (steps, m, 64) slab, then the calling thread steps it;
-      the two are not overlapped, because the step's small ufuncs and the
-      fill threads contend for the GIL. Each step
-      ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
+    * diag_affine sigma: every path is stepped, with two-point increments
+      xi = +-1, each sign with probability 1/2 (the simplified weak Euler
+      scheme). Only the stationary law is used downstream, not the paths,
+      and xi has the first three moments of a standard normal
+      (E xi = E xi^3 = 0, E xi^2 = 1), so the scheme keeps Euler-Maruyama's
+      weak order 1 (Kloeden & Platen 1992, Thm 14.5.2): the mean
+      recursion is the same, and the laws differ at O(dt), the order of
+      Euler's own bias. A sign costs one random bit instead of a normal.
+      Each block of ``_STREAM_PATHS`` = 64 paths shares one SFC64 stream
+      keyed by (seed, i // 64), drawn in step order: one uint64 word per
+      step and noise channel, whose bit i mod 64 (counted from the least
+      significant) is path i's: xi = 1 - 2 bit. A partial last block is
+      padded to 64 lanes, stepped but neither checked nor returned. So
+      path i's increments, and its endpoint bit for bit, depend neither
+      on ``n_paths`` nor on chunking, path blocks or fill threads; every
+      product with M is at least 64 columns wide, so BLAS never switches
+      to its matrix-vector kernel, which rounds differently. Streams run
+      in blocks with one int8 sign buffer each, (streams, steps, m, 64),
+      of at most ``_MAX_NOISE_ELEMENTS`` = 2**21 signs (2 MiB) for
+      m <= 32768: a chunk of ``_CHUNK_STEPS // m`` steps (at least one).
+      The fill pool draws each stream's words for the chunk with one call
+      and unpacks them into its contiguous (steps, m, 64) slab, then the
+      calling thread steps it; the two are not overlapped, because the
+      step's small ufuncs and the fill threads contend for the GIL. Each
+      step ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
       sqrt(dt)``) runs in place on preallocated (d, paths) buffers and
-      reads its noise as one run of m*64 contiguous normals per stream.
+      reads its signs as one run of m*64 contiguous values per stream.
 
     Divergence: a state with |x| > 1e12, or a non-finite one, raises
     DivergenceError carrying the first offending path index. The direct
@@ -222,6 +233,8 @@ def simulate_sde(
     seed = int(seed)
     if seed < 0:
         raise DomainError("seed must be nonnegative")
+    if not np.isfinite(horizon / dt):
+        raise DomainError(f"horizon / dt = {horizon!r} / {dt!r} is not a finite step count")
     A_j = closed_loop_matrix(sys, gains, mode)
     n_steps = max(1, int(round(horizon / dt)))
     if x0 is None:
@@ -276,7 +289,7 @@ def simulate_sde(
                 for b in range(first_stream, min(first_stream + block_streams, n_streams))
             ]
             edges = np.linspace(0, len(streams), _FILL_WORKERS + 1, dtype=int)
-            buf = np.empty((len(streams), span, m, _STREAM_PATHS))
+            buf = np.empty((len(streams), span, m, _STREAM_PATHS), dtype=np.int8)
             start = first_stream * _STREAM_PATHS
             real = min(n_paths - start, len(streams) * _STREAM_PATHS)  # then padding
             # the state is stepped as (d, paths), so every operand runs along
@@ -294,7 +307,15 @@ def simulate_sde(
 
                 def fill(lo, hi):
                     for b in range(lo, hi):
-                        streams[b].standard_normal(out=buf[b, :steps])
+                        words = streams[b].integers(0, 2**64, (steps, m, 1), dtype=np.uint64)
+                        bits = np.unpackbits(
+                            words.astype("<u8", copy=False).view(np.uint8),
+                            axis=-1,
+                            bitorder="little",
+                        )  # (steps, m, 64): bit i of each word is lane i
+                        signs = buf[b, :steps]
+                        np.multiply(bits.view(np.int8), -2, out=signs)
+                        signs += 1
 
                 list(pool.map(fill, edges[:-1], edges[1:]))
                 for xi in buf[:, :steps].transpose(1, 2, 0, 3):  # (m, streams, 64)

@@ -241,15 +241,21 @@ def euler_endpoint_cov_reference(M, Q, n):
     return power, cov
 
 
-def euler_stepped_reference(system, A_cl, eps, dt, n_steps, n_paths, seed, x0=None):
-    """Euler-Maruyama endpoints stepped one path and one step at a time.
+def euler_stepped_reference(
+    system, A_cl, eps, dt, n_steps, n_paths, seed, x0=None, increments="two_point"
+):
+    """Weak Euler endpoints stepped one path and one step at a time.
 
-    Path i reads the SFC64 stream keyed by
-    ``SeedSequence(seed, spawn_key=(i // 64,))``, which its block of 64
-    paths shares: each step draws an (m, 64) array from it, takes column
-    ``i % 64`` as xi and applies
-    ``x <- x + dt A_cl x + eps sqrt(dt) sigma(x) xi``, with no chunking,
-    batching or threads.
+    Each step applies ``x <- x + dt A_cl x + eps sqrt(dt) sigma(x) xi``,
+    with no chunking, batching or threads. Path i reads the SFC64 stream
+    keyed by ``SeedSequence(seed, spawn_key=(i // 64,))``, which its block
+    of 64 paths shares, and each step draws its m increments from it:
+
+    * ``"two_point"`` (the library's sampler): one uint64 word per noise
+      channel, whose bit ``i % 64`` (counted from the least significant)
+      gives ``xi = 1 - 2 bit``;
+    * ``"gaussian"`` (Euler-Maruyama, a reference for law comparisons
+      only): an (m, 64) array of standard normals, column ``i % 64``.
     """
     A_cl = np.asarray(A_cl, float)
     d = A_cl.shape[0]
@@ -261,7 +267,11 @@ def euler_stepped_reference(system, A_cl, eps, dt, n_steps, n_paths, seed, x0=No
         rng = np.random.Generator(np.random.SFC64(ss))
         x = np.zeros(d) if x0 is None else np.array(x0, float)
         for _ in range(n_steps):
-            xi = rng.standard_normal((sigma.m, 64))[:, i % 64]
+            if increments == "two_point":
+                words = rng.integers(0, 2**64, sigma.m, dtype=np.uint64)
+                xi = np.array([1.0 - 2.0 * ((int(w) >> (i % 64)) & 1) for w in words])
+            else:
+                xi = rng.standard_normal((sigma.m, 64))[:, i % 64]
             if hasattr(sigma, "matrix"):
                 kick = sigma.matrix @ xi
             else:

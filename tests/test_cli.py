@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redunquant import cli, reporting, systemic_redundancy, verify_reliable
+from redunquant import cli, redundancy_analysis, reporting, systemic_redundancy, verify_reliable
 from redunquant.cli import main, parse_config, run_command
 from redunquant.errors import ConfigSyntaxError, ConfigValidationError
 
@@ -561,7 +561,7 @@ class TestMainEntryPoint:
             outs.append(out)
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         report = reporting.parse_report(outs[0] / "report.json")
-        assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "euler_stepped"
+        assert report["outputs"]["redundancy"]["provenance"]["sampler"] == "euler_two_point"
 
     def test_rotated_grid_redundancy_byte_identical_runs(self, tmp_path):
         config = write_config(tmp_path, FULL_S_PLANE_CONFIG)
@@ -687,6 +687,33 @@ class TestExitCodes:
     def test_less_than_one_default_step_exit1(self, tmp_path, argv, sim, field, capsys):
         # the other of sim.horizon and sim.dt takes its per-mode default
         payload = dict(json.loads(BUNDLED_CONFIG.read_text()), sim=sim)
+        out = tmp_path / "new"
+        code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        assert code == 1
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, sim, field",
+        [
+            (["simulate"], {"horizon": 1e300, "dt": 1e-300}, "sim.horizon"),
+            (
+                ["redundancy", "--method", "monte_carlo"],
+                {"horizon": 1e300, "dt": 1e-300},
+                "sim.horizon",
+            ),
+            (["simulate"], {"dt": 1e-310}, "sim.dt"),
+        ],
+        ids=["simulate", "redundancy", "simulate-default-horizon"],
+    )
+    def test_step_count_overflow_exit1(self, tmp_path, monkeypatch, argv, sim, field, capsys):
+        # each value is valid alone; horizon / dt overflows to inf
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "simulate_sde", no_sampling)
+        monkeypatch.setattr(redundancy_analysis, "simulate_sde", no_sampling)
+        payload = dict(SCALAR_CONFIG, **DIAG_AFFINE_CONFIG, sim=sim)
         out = tmp_path / "new"
         code = main(argv + ["--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1

@@ -1,10 +1,16 @@
 """The public names of ``redunquant`` and their parameters, pinned so an API
-change, such as a setting added or removed, is a visible test edit."""
+change, such as a setting added or removed, is a visible test edit; and
+the library names that the benchmark in ``perfbench/`` reads."""
 
+import importlib
+import importlib.util
 import inspect
+import re
 
 import redunquant as rq
-from redunquant import cli
+from redunquant import cli, stochastic_engine
+
+from .conftest import ROOT
 
 PUBLIC_NAMES = [
     "Box",
@@ -134,3 +140,42 @@ def test_public_parameters_are_pinned():
 
 def test_run_command_options_are_pinned():
     assert _parameters(cli.run_command) == ["cmd", "spec", "out_dir", "method", "seed"]
+
+
+def _benchmark_tracer():
+    # perfbench/ is a directory of scripts, not a package: load its tracer
+    # by path, which only defines names and imports the standard library
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_functions_resolve():
+    # the benchmark wraps each of these and fails its whole run on a missing one
+    tracer = _benchmark_tracer()
+
+    def resolve(mod, fn):
+        return getattr(importlib.import_module(f"redunquant.{mod}"), fn, None)
+
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in tracer.FUNCTIONS.items()
+        for fn in fns
+        if not callable(resolve(mod, fn))
+    ]
+    assert missing == []
+    # its counting hooks read these arguments of the wrapped functions by name
+    for name, hook in tracer._HOOKS.items():
+        if name == tracer.SPLU:
+            continue
+        params = inspect.signature(resolve(*name.split("."))).parameters
+        read = set(re.findall(r'args\["(\w+)"\]', inspect.getsource(hook)))
+        assert read <= set(params), (name, read)
+
+
+def test_fill_workers_is_a_positive_int():
+    # the benchmark's provenance reads it to count the threads of a run
+    workers = stochastic_engine._FILL_WORKERS
+    assert type(workers) is int and workers >= 1

@@ -141,7 +141,7 @@ class TestSystemicRedundancy:
         stepped = rq.systemic_redundancy(
             affine, gains, 0.1, "monte_carlo", seed=3, n_paths=200, horizon=5.0, dt=1e-2
         )
-        assert stepped.provenance["sampler"] == "euler_stepped"
+        assert stepped.provenance["sampler"] == "euler_two_point"
         for report in (exact, stepped):
             se = report.provenance["standard_error"]
             assert len(se["kl_per_channel"]) == 2

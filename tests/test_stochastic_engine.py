@@ -238,6 +238,27 @@ class TestSimulate:
         with pytest.raises(DomainError):
             rq.simulate_sde(system, gains, 0, 1.0, 1.0, 0.01, 0, seed=1)
 
+    @pytest.mark.parametrize("sigma", ["constant", "diag_affine"])
+    @pytest.mark.parametrize(
+        "horizon, dt",
+        [(np.inf, 0.01), (np.nan, 0.01), (1e300, 1e-300)],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_step_count_not_finite(self, monkeypatch, sigma, horizon, dt):
+        noise = {
+            "constant": rq.ConstantDiffusion([[1.0]]),
+            "diag_affine": rq.DiagAffineDiffusion([1.0], [0.5]),
+        }[sigma]
+        system = rq.MultiChannelSystem([[-1.0]], [[[1.0]]], noise)
+
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(stochastic_engine, "_block_stream", no_sampling)
+        monkeypatch.setattr(stochastic_engine, "euler_endpoint_law", no_sampling)
+        with pytest.raises(DomainError, match="not a finite step count"):
+            rq.simulate_sde(system, rq.GainSet([[[0.0]]]), 0, 1.0, horizon, dt, 10, seed=1)
+
 
 def _plane(sigma):
     A = np.array([[-1.0, 0.4], [-0.3, -1.6]])
@@ -330,7 +351,7 @@ class TestSimulateStepping:
         assert np.array_equal(one_step, default)
 
     def test_noise_memory_is_one_chunk_per_path(self):
-        # one noise buffer of _CHUNK_STEPS normals per path, padded to whole
+        # one noise buffer of _CHUNK_STEPS signs per path, padded to whole
         # streams, over a run of several chunks; the state and step buffers
         # are O(d) per path
         system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
@@ -346,8 +367,8 @@ class TestSimulateStepping:
         assert peak <= 1.25 * 8 * stochastic_engine._CHUNK_STEPS * padded + 1e6
 
     def test_noise_memory_at_a_thousand_paths(self):
-        # 1000 paths x 10 000 steps at d=2 need one 4.2 MB buffer: 16
-        # streams of 256 steps x 2 x 64 normals
+        # 1000 paths x 10 000 steps at d=2 need one 0.5 MB buffer: 16
+        # streams of 256 steps x 2 x 64 int8 signs
         system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
         tracemalloc.start()
         try:
@@ -356,6 +377,48 @@ class TestSimulateStepping:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+    def test_one_step_lands_on_two_points(self):
+        # from x0, one step reaches M x0 +- amp (base + slope |x0|) per axis,
+        # each sign with probability 1/2, the two axes' signs independent
+        system, gains, A = _plane(_PLANE_NOISE["diag_affine"])
+        sigma, n, dt, eps = system.sigma, 8192, 1e-2, 0.8
+        x0 = np.array([0.5, -0.25])
+        out = rq.simulate_sde(system, gains, 0, eps, dt, dt, n, seed=21, x0=x0).samples
+        centre = (np.eye(2) + dt * A) @ x0
+        half_gap = eps * np.sqrt(dt) * (sigma.base + sigma.slope * np.abs(x0))
+        up = np.isclose(out, centre + half_gap, rtol=0.0, atol=1e-15)
+        down = np.isclose(out, centre - half_gap, rtol=0.0, atol=1e-15)
+        assert np.all(up ^ down)
+        se = np.sqrt(0.25 / n)
+        assert np.all(np.abs(up.mean(axis=0) - 0.5) <= 5.0 * se)
+        assert abs((up[:, 0] == up[:, 1]).mean() - 0.5) <= 5.0 * se
+
+    def test_zero_slope_endpoint_is_normal_in_fourth_moment(self):
+        # one +-1 step has kurtosis 1; the sum of 500 of them, weighted by
+        # the powers of M, is 3 up to O(dt)
+        system, gains, _ = _plane(rq.DiagAffineDiffusion([0.7, 0.9], [0.0, 0.0]))
+        n = 16_384
+        x = rq.simulate_sde(system, gains, 0, 1.0, 5.0, 1e-2, n, seed=9).samples
+        z = (x - x.mean(axis=0)) / x.std(axis=0)
+        kurtosis = (z**4).mean(axis=0)
+        assert np.all(np.abs(kurtosis - 3.0) <= 5.0 * np.sqrt(24.0 / n))
+
+    def test_law_matches_gaussian_increments(self):
+        # with slope > 0 the noise depends on |x|, so the endpoint laws of
+        # +-1 and normal increments differ at O(dt), far below these SEs
+        sigma = rq.DiagAffineDiffusion([0.7], [0.5])
+        system = rq.MultiChannelSystem([[-1.0]], [[[1.0]]], sigma)
+        gains = rq.GainSet([[[0.0]]])
+        dt, n_steps = 2e-2, 150
+        signs = rq.simulate_sde(system, gains, 0, 1.0, n_steps * dt, dt, 8192, seed=2).samples
+        normals = euler_stepped_reference(
+            system, [[-1.0]], 1.0, dt, n_steps, 256, 2, increments="gaussian"
+        )
+        for f in (np.square, np.abs):
+            a, b = f(signs[:, 0]), f(normals[:, 0])
+            se = np.sqrt(a.var() / a.size + b.var() / b.size)
+            assert abs(a.mean() - b.mean()) <= 5.0 * se
 
     def test_one_stream_per_block_of_paths(self, monkeypatch):
         system, gains, _ = _plane(_PLANE_NOISE["diag_affine"])
