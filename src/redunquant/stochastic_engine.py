@@ -27,9 +27,7 @@ density so the three routes can be cross-checked.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +57,8 @@ _DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 512
 _MAX_NOISE_ELEMENTS = 2**21
 _STREAM_PATHS = 64
-# CPUs this process may run on; os.cpu_count() counts the host's
-_FILL_WORKERS = min(
-    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# fill threads started by simulate_sde (none); the benchmark's provenance reads it
+_FILL_WORKERS = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +88,22 @@ class SampleSet:
         return self.samples.shape[1]
 
 
+def _whole(value, name: str, lo: int) -> int:
+    """``value`` as an int of at least ``lo``; a bool, a non-integer (numpy
+    integers pass) or a smaller value raises DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise DomainError(f"{name} must be " + ("nonnegative" if lo == 0 else f"at least {lo}"))
+    return int(value)
+
+
 def derived_seed(seed: int, *key: int) -> int:
     """Stable 64-bit sub-seed for (seed, key) -- used for per-mode and
-    per-row streams so larger runs stay schedule-independent."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    per-row streams so larger runs stay schedule-independent. The seed must
+    be a nonnegative integer (DomainError otherwise)."""
+    seed = _whole(seed, "seed", 0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -200,19 +208,21 @@ def simulate_sde(
       significant) is path i's: xi = 1 - 2 bit. A partial last block is
       padded to 64 lanes, stepped but neither checked nor returned. So
       path i's increments, and its endpoint bit for bit, depend neither
-      on ``n_paths`` nor on chunking, path blocks or fill threads; every
-      product with M is at least 64 columns wide, so BLAS never switches
-      to its matrix-vector kernel, which rounds differently. Streams run
-      in blocks with one int8 sign buffer each, (streams, steps, m, 64),
-      of at most ``_MAX_NOISE_ELEMENTS`` = 2**21 signs (2 MiB) for
+      on ``n_paths`` nor on chunking or path blocks; every product with M
+      is at least 64 columns wide, so BLAS never switches to its
+      matrix-vector kernel, which rounds differently. Streams run in
+      blocks with one int8 sign buffer each, (streams, steps, m, 64), of
+      at most ``_MAX_NOISE_ELEMENTS`` = 2**21 signs (2 MiB) for
       m <= 32768: a chunk of ``_CHUNK_STEPS // m`` steps (at least one).
-      The fill pool draws each stream's words for the chunk with one call
-      and unpacks them into its contiguous (steps, m, 64) slab, then the
-      calling thread steps it; the two are not overlapped, because the
-      step's small ufuncs and the fill threads contend for the GIL. Each
-      step ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
+      Each stream's words for the chunk come from one call, in stream
+      order; one ``unpackbits`` of them all is the sign buffer, which the
+      calling thread then steps; no other thread is started. Each step
+      ``x <- M x + (amp base + amp slope |x|) xi`` (``amp = eps
       sqrt(dt)``) runs in place on preallocated (d, paths) buffers and
       reads its signs as one run of m*64 contiguous values per stream.
+
+    ``n_paths`` >= 1 and ``seed`` >= 0 are integers, numpy integers
+    included but not bools (DomainError otherwise).
 
     Divergence: a state with |x| > 1e12, or a non-finite one, raises
     DivergenceError carrying the first offending path index. The direct
@@ -228,11 +238,8 @@ def simulate_sde(
         raise DomainError(f"dt must be positive, got {dt!r}")
     if horizon < dt:
         raise DomainError("horizon must be at least one step")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError("seed must be nonnegative")
+    n_paths = _whole(n_paths, "n_paths", 1)
+    seed = _whole(seed, "seed", 0)
     if not np.isfinite(horizon / dt):
         raise DomainError(f"horizon / dt = {horizon!r} / {dt!r} is not a finite step count")
     A_j = closed_loop_matrix(sys, gains, mode)
@@ -271,71 +278,63 @@ def simulate_sde(
             )
         return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
-    # One noise buffer per block of streams: the pool fills it, then this
-    # thread steps it. Filling the next chunk while stepping this one saves
-    # nothing: each small ufunc of the step releases the GIL and a fill
-    # thread takes it between calls, so a d=2 chunk of 1000 paths that
-    # steps in ~20 ms alone took 22-121 ms beside one or two fill threads,
-    # and two half-size buffers filled in turn were no faster.
+    # Each chunk's words, one integers call per stream, are unpacked by one
+    # call into the sign buffer, which this thread then steps. A pool of
+    # fill threads, each unpacking its own streams, was slower: the calling
+    # thread waited ~0.06 s of a ~0.2 s 1000-path x 10 000-step d=2 run on
+    # its locks. That run takes 0.09-0.10 s without it, against 0.14-0.16 s
+    # (in-process medians, one BLAS thread, 2-vCPU x86-64 VM).
     m = sys.sigma.m
     span = min(max(1, _CHUNK_STEPS // m), n_steps)
     block_streams = max(1, _MAX_NOISE_ELEMENTS // (span * m * _STREAM_PATHS))
     n_streams = -(-n_paths // _STREAM_PATHS)
     samples = np.empty((n_paths, d))
-    with ThreadPoolExecutor(_FILL_WORKERS) as pool:
-        for first_stream in range(0, n_streams, block_streams):
-            streams = [
-                _block_stream(seed, b)
-                for b in range(first_stream, min(first_stream + block_streams, n_streams))
-            ]
-            edges = np.linspace(0, len(streams), _FILL_WORKERS + 1, dtype=int)
-            buf = np.empty((len(streams), span, m, _STREAM_PATHS), dtype=np.int8)
-            start = first_stream * _STREAM_PATHS
-            real = min(n_paths - start, len(streams) * _STREAM_PATHS)  # then padding
-            # the state is stepped as (d, paths), so every operand runs along
-            # the paths, not along a length-d inner axis; the amplitudes are
-            # spread to (d, paths) too, since an in-place ufunc that
-            # broadcasts a (d, 1) operand takes about twice as long as one on
-            # equal shapes
-            x = np.tile(x0[:, None], (1, len(streams) * _STREAM_PATHS))
-            y, kick = np.empty_like(x), np.empty_like(x)
-            kick_lanes = kick.reshape(d, len(streams), _STREAM_PATHS)
-            slope = np.repeat(amp * sys.sigma.slope[:, None], x.shape[1], axis=1)
-            base = np.repeat(amp * sys.sigma.base[:, None], x.shape[1], axis=1)
-            for first in range(0, n_steps, span):
-                steps = min(span, n_steps - first)
-
-                def fill(lo, hi):
-                    for b in range(lo, hi):
-                        words = streams[b].integers(0, 2**64, (steps, m, 1), dtype=np.uint64)
-                        bits = np.unpackbits(
-                            words.astype("<u8", copy=False).view(np.uint8),
-                            axis=-1,
-                            bitorder="little",
-                        )  # (steps, m, 64): bit i of each word is lane i
-                        signs = buf[b, :steps]
-                        np.multiply(bits.view(np.int8), -2, out=signs)
-                        signs += 1
-
-                list(pool.map(fill, edges[:-1], edges[1:]))
-                for xi in buf[:, :steps].transpose(1, 2, 0, 3):  # (m, streams, 64)
-                    np.abs(x, out=kick)
-                    kick *= slope
-                    kick += base
-                    kick_lanes *= xi
-                    np.matmul(step_map, x, out=y)
-                    y += kick
-                    x, y = y, x
-                paths = x[:, :real].T
-                bad = _diverged(paths)
-                if np.any(bad):
-                    idx = start + int(np.argmax(bad))
-                    raise DivergenceError(
-                        f"trajectory {idx} diverged by step {first + steps} "
-                        "(non-Hurwitz mode or dt too large?)",
-                        path_index=idx,
-                    )
-            samples[start : start + real] = paths
+    for first_stream in range(0, n_streams, block_streams):
+        streams = [
+            _block_stream(seed, b)
+            for b in range(first_stream, min(first_stream + block_streams, n_streams))
+        ]
+        start = first_stream * _STREAM_PATHS
+        real = min(n_paths - start, len(streams) * _STREAM_PATHS)  # then padding
+        # the state is stepped as (d, paths), so every operand runs along
+        # the paths, not along a length-d inner axis; the amplitudes are
+        # spread to (d, paths) too, since an in-place ufunc that
+        # broadcasts a (d, 1) operand takes about twice as long as one on
+        # equal shapes
+        x = np.tile(x0[:, None], (1, len(streams) * _STREAM_PATHS))
+        y, kick = np.empty_like(x), np.empty_like(x)
+        kick_lanes = kick.reshape(d, len(streams), _STREAM_PATHS)
+        slope = np.repeat(amp * sys.sigma.slope[:, None], x.shape[1], axis=1)
+        base = np.repeat(amp * sys.sigma.base[:, None], x.shape[1], axis=1)
+        for first in range(0, n_steps, span):
+            steps = min(span, n_steps - first)
+            words = np.stack(
+                [s.integers(0, 2**64, (steps, m, 1), dtype=np.uint64) for s in streams],
+                dtype="<u8",
+            )
+            # (streams, steps, m, 64): bit i of each word is lane i
+            signs = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(np.int8)
+            signs *= -2
+            signs += 1
+            for xi in signs.transpose(1, 2, 0, 3):  # (m, streams, 64)
+                np.abs(x, out=kick)
+                kick *= slope
+                kick += base
+                kick_lanes *= xi
+                np.matmul(step_map, x, out=y)
+                y += kick
+                x, y = y, x
+            del words, signs, xi  # one chunk's noise alive at a time
+            paths = x[:, :real].T
+            bad = _diverged(paths)
+            if np.any(bad):
+                idx = start + int(np.argmax(bad))
+                raise DivergenceError(
+                    f"trajectory {idx} diverged by step {first + steps} "
+                    "(non-Hurwitz mode or dt too large?)",
+                    path_index=idx,
+                )
+        samples[start : start + real] = paths
     return SampleSet(samples, seed=seed, t_final=n_steps * dt, dt=dt, mode=mode)
 
 

@@ -606,6 +606,18 @@ class TestMainEntryPoint:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_import_loads_no_thread_pool(self):
+        # the stepped sampler runs on the calling thread, so a CLI process
+        # pays for neither concurrent.futures nor the logging it imports
+        script = (
+            "import sys, redunquant.cli; "
+            "assert not {'concurrent.futures', 'logging'} & set(sys.modules), sys.modules.keys()"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+
 
 class TestExitCodes:
     """Exit 1 means an invalid configuration or invocation, whatever caught it."""

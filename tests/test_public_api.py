@@ -175,7 +175,8 @@ def test_benchmark_traced_functions_resolve():
         assert read <= set(params), (name, read)
 
 
-def test_fill_workers_is_a_positive_int():
-    # the benchmark's provenance reads it to count the threads of a run
+def test_fill_workers_is_the_int_zero():
+    # the benchmark's provenance reads it and adds it to the threads of a
+    # run; the stepped sampler starts no fill thread
     workers = stochastic_engine._FILL_WORKERS
-    assert type(workers) is int and workers >= 1
+    assert type(workers) is int and workers == 0

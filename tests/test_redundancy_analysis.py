@@ -693,6 +693,34 @@ def _flow_row(system, gains):
             DomainError, "method must be one of", id="method",
         ),
         pytest.param(
+            lambda system, gains: rq.systemic_redundancy(
+                system, gains, 0.1, "monte_carlo", seed=1.5
+            ),
+            DomainError, "seed must be an integer, got 1.5", id="fractional_seed",
+        ),
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(
+                system, gains, 0.1, "monte_carlo", seed=-1
+            ),
+            DomainError, "seed must be nonnegative", id="negative_seed",
+        ),
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(
+                system, gains, 0.1, "monte_carlo", seed=True
+            ),
+            DomainError, "seed must be an integer, got True", id="bool_seed",
+        ),
+        pytest.param(
+            lambda system, gains: rq.systemic_redundancy(
+                system, gains, 0.1, "monte_carlo", n_paths=200.0
+            ),
+            DomainError, "n_paths must be an integer, got 200.0", id="float_paths",
+        ),
+        pytest.param(
+            lambda system, gains: rq.epsilon_sweep(system, gains, [0.1], "monte_carlo", seed=1.5),
+            DomainError, "seed must be an integer, got 1.5", id="sweep_fractional_seed",
+        ),
+        pytest.param(
             lambda system, gains: rq.epsilon_sweep(system, gains, []),
             DomainError, "eps_list must be nonempty", id="empty_eps_list",
         ),
@@ -719,3 +747,11 @@ def _flow_row(system, gains):
 def test_typed_errors(scalar_two_channel, call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call(*scalar_two_channel)
+
+
+def test_monte_carlo_accepts_numpy_integers(scalar_two_channel):
+    numpy_ints = rq.systemic_redundancy(
+        *scalar_two_channel, 0.1, "monte_carlo", seed=np.int64(3), n_paths=np.uint16(64)
+    )
+    plain = rq.systemic_redundancy(*scalar_two_channel, 0.1, "monte_carlo", seed=3, n_paths=64)
+    assert numpy_ints.r == plain.r

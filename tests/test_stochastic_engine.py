@@ -40,7 +40,7 @@ from .oracles import (
 
 @pytest.fixture(autouse=True)
 def _no_leaked_threads():
-    """Every exit path of simulate_sde must shut its fill pool down."""
+    """No exit path of simulate_sde may leave a thread running."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before
@@ -155,9 +155,9 @@ class TestSimulate:
             rq.simulate_sde(system, rq.GainSet([[[0.0]]]), 0, 1.0, 30.0, 1e-2, 5, seed=2)
         assert 0 <= err.value.path_index < 5
 
-    def test_divergence_diag_affine_with_fill_in_flight(self):
+    def test_divergence_diag_affine_with_chunks_left(self):
         # the first chunk's endpoint is far past the limit (1.2^512 ~ 1e40)
-        # with chunks still to fill; the pool must not outlive the call
+        # with chunks still to draw; the call leaves no thread behind
         system = rq.MultiChannelSystem(
             [[20.0]], [[[1.0]]], rq.DiagAffineDiffusion([1.0], [0.5])
         )
@@ -272,8 +272,8 @@ _PLANE_NOISE = {
 
 class TestSimulateStepping:
     """The stepped (diag_affine) simulate_sde against a plain per-path,
-    per-step loop, and its independence of n_paths, path blocks and fill
-    threads."""
+    per-step loop, its independence of n_paths, chunks and path blocks,
+    and its single thread."""
 
     @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
     @pytest.mark.parametrize("blocks", [1, 3], ids=["one_block", "three_blocks"])
@@ -290,21 +290,25 @@ class TestSimulateStepping:
         ref = euler_stepped_reference(system, A, 0.9, dt, n_steps, n_paths, 13, x0=x0)
         assert np.abs(out.samples - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("kind", sorted(_PLANE_NOISE))
-    def test_independent_of_fill_workers(self, monkeypatch, kind):
-        system, gains, _ = _plane(_PLANE_NOISE[kind])
-        span = stochastic_engine._CHUNK_STEPS // 2
-        n_paths = 3 * stochastic_engine._STREAM_PATHS + 11  # four streams to share out
-        runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(stochastic_engine, "_FILL_WORKERS", workers)
-            runs.append(
-                rq.simulate_sde(
-                    system, gains, 0, 1.0, (2 * span + 5) * 1e-3, 1e-3, n_paths, 6
-                ).samples
-            )
-        for other in runs[1:]:
-            assert np.array_equal(other, runs[0])
+    @pytest.mark.parametrize("case", ["constant", "diag_affine", "divergence"])
+    def test_starts_no_thread(self, monkeypatch, case):
+        # both samplers over four streams and several chunks, and the
+        # divergence exit, run on the calling thread alone
+        def no_thread(thread):
+            raise AssertionError(f"simulate_sde started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        n_paths, dt = 3 * stochastic_engine._STREAM_PATHS + 11, 1e-2
+        horizon = 3 * stochastic_engine._CHUNK_STEPS * dt
+        if case == "divergence":  # |x| grows by 1.2 per step, past the limit in one chunk
+            sigma = rq.DiagAffineDiffusion([1.0], [0.5])
+            system = rq.MultiChannelSystem([[20.0]], [[[1.0]]], sigma)
+            with pytest.raises(DivergenceError):
+                rq.simulate_sde(system, rq.GainSet([[[0.0]]]), 0, 1.0, horizon, dt, n_paths, 6)
+        else:
+            noise = rq.ConstantDiffusion(np.eye(2)) if case == "constant" else _PLANE_NOISE[case]
+            system, gains, _ = _plane(noise)
+            assert rq.simulate_sde(system, gains, 0, 1.0, horizon, dt, n_paths, 6).n == n_paths
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_independent_of_chunks_and_blocks(self, monkeypatch, d):
@@ -957,6 +961,22 @@ def _samples(samples=np.zeros((4, 1)), dt=0.1):
             DomainError, "seed must be nonnegative", id="simulate_seed",
         ),
         pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 4, seed=1.5),
+            DomainError, "seed must be an integer, got 1.5", id="simulate_fractional_seed",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 4, seed=True),
+            DomainError, "seed must be an integer, got True", id="simulate_bool_seed",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 200.0, seed=1),
+            DomainError, "n_paths must be an integer, got 200.0", id="simulate_float_paths",
+        ),
+        pytest.param(
+            lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, True, seed=1),
+            DomainError, "n_paths must be an integer, got True", id="simulate_bool_paths",
+        ),
+        pytest.param(
             lambda: rq.simulate_sde(*_OU, 0, 1.0, 1.0, 0.1, 4, seed=1, x0=[0.0, 0.0]),
             DimensionError, "x0 has dimension 2, expected 1", id="simulate_x0",
         ),
@@ -1005,3 +1025,13 @@ def _samples(samples=np.zeros((4, 1)), dt=0.1):
 def test_typed_errors(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize("kind", ["constant", "diag_affine"])
+def test_simulate_accepts_numpy_integers(kind):
+    noise = rq.ConstantDiffusion(np.eye(2)) if kind == "constant" else _PLANE_NOISE[kind]
+    system, gains, _ = _plane(noise)
+    numpy_ints = rq.simulate_sde(system, gains, 0, 1.0, 0.1, 1e-2, np.int64(70), np.uint32(5))
+    plain = rq.simulate_sde(system, gains, 0, 1.0, 0.1, 1e-2, 70, 5)
+    assert np.array_equal(numpy_ints.samples, plain.samples)
+    assert type(numpy_ints.seed) is int
