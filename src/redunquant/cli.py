@@ -72,7 +72,7 @@ _KEYS = {
     "sigma": {"constant": {"type", "S"}, "diag_affine": {"type", "c", "s"}},
     "rho0": {"mean", "cov"},
     "grid": {"lo", "hi", "n_cells"},
-    "sim": {"horizon", "dt", "n_paths", "hist_cells"},
+    "sim": {"horizon", "dt", "n_paths"},
 }
 
 
@@ -93,7 +93,6 @@ class ProblemSpec:
     n_paths: int
     horizon: float | None
     dt: float | None
-    hist_cells: int
     raw: dict
 
 
@@ -295,7 +294,6 @@ def parse_config(path) -> ProblemSpec:
         _fail("sim.dt", "expected a positive number")
     if horizon is not None and dt is not None and horizon < dt:
         _fail("sim.horizon", "must be at least one step (sim.dt)")
-    hist_cells = _integer(sim.get("hist_cells", 64), "sim.hist_cells", 1)
 
     return ProblemSpec(
         system=system,
@@ -311,7 +309,6 @@ def parse_config(path) -> ProblemSpec:
         n_paths=n_paths,
         horizon=float(horizon) if horizon is not None else None,
         dt=float(dt) if dt is not None else None,
-        hist_cells=hist_cells,
         raw=raw,
     )
 
@@ -382,7 +379,6 @@ def run_command(
         "n_paths": spec.n_paths,
         "horizon": spec.horizon,
         "dt": spec.dt,
-        "hist_cells": spec.hist_cells,
         "grid_box": spec.grid,
     }
 

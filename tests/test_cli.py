@@ -104,7 +104,6 @@ class TestParseConfig:
             (("t_list",), [True], "t_list"),
             (("system", "N"), "two", "system.N"),
             (("sim", "n_paths"), True, "sim.n_paths"),
-            (("sim", "hist_cells"), False, "sim.hist_cells"),
             (("sim", "horizon"), True, "sim.horizon"),
             (("epsilon",), 10**400, "epsilon"),
             # a nested value keeps its own field
@@ -733,19 +732,24 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "path, sigma",
+        "path, sigma, key",
         [
-            ((), None),
-            (("system",), None),
-            (("system", "sigma"), None),
-            (("system", "sigma"), DIAG_AFFINE_CONFIG["system"]["sigma"]),
-            (("rho0",), None),
-            (("grid",), None),
-            (("sim",), None),
+            ((), None, "bogus"),
+            (("system",), None, "bogus"),
+            (("system", "sigma"), None, "bogus"),
+            (("system", "sigma"), DIAG_AFFINE_CONFIG["system"]["sigma"], "bogus"),
+            (("rho0",), None, "bogus"),
+            (("grid",), None, "bogus"),
+            (("sim",), None, "bogus"),
+            # the histogram cell count follows from sim.n_paths; it is no setting
+            (("sim",), None, "hist_cells"),
         ],
-        ids=["root", "system", "sigma_constant", "sigma_diag_affine", "rho0", "grid", "sim"],
+        ids=[
+            "root", "system", "sigma_constant", "sigma_diag_affine", "rho0", "grid", "sim",
+            "sim_hist_cells",
+        ],
     )
-    def test_unknown_key_of_every_object_exit1(self, tmp_path, path, sigma, capsys):
+    def test_unknown_key_of_every_object_exit1(self, tmp_path, path, sigma, key, capsys):
         payload = dict(
             json.loads(json.dumps(SCALAR_CONFIG)),
             rho0={"mean": [0.0], "cov": [[1.0]]},
@@ -755,10 +759,10 @@ class TestExitCodes:
         if sigma is not None:
             payload["system"]["sigma"] = dict(sigma)
         target = payload
-        for key in path:
-            target = target[key]
-        target["bogus"] = 1
-        field = ".".join([*path[-1:], "bogus"])
+        for name in path:
+            target = target[name]
+        target[key] = 1
+        field = ".".join([*path[-1:], key])
         out = tmp_path / "new"
         code = main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
         assert code == 1

@@ -116,7 +116,7 @@ PARAMETERS = {
     "synthesize_gains": ["sys"],
     "systemic_redundancy": [
         "sys", "gains", "eps", "method",
-        "seed", "n_paths", "horizon", "dt", "hist_cells", "grid_box", "grid_cells",
+        "seed", "n_paths", "horizon", "dt", "grid_box", "grid_cells",
     ],
     "time_sweep": ["sys", "gains", "rho0", "t_list", "reference_eps"],
     "transported_pdf": ["sys", "gains", "mode", "rho0", "t", "points"],

@@ -52,6 +52,16 @@ def _sampled_normal() -> rq.GridDensity:
     return rq.GridDensity.from_unnormalized(box, g0.pdf(box.center_points()).reshape(tuple(box.n)))
 
 
+def _constant_sigma_plane():
+    """d=2, two unit channels with gains -1, constant lower-triangular S."""
+    system = rq.MultiChannelSystem(
+        [[-0.5, 0.4], [-0.3, -0.6]],
+        [[[1.0], [0.0]], [[0.0], [1.0]]],
+        rq.ConstantDiffusion([[0.8, 0.0], [0.3, 1.0]]),
+    )
+    return system, rq.GainSet([[[-1.0, 0.0]], [[0.0, -1.0]]])
+
+
 def _contracting_plane():
     """d=2 plant A = -2I, B = [I, I], K = [I, 0]: the nominal loop is -I,
     outage 1 is -2I and outage 2 equals the nominal loop."""
@@ -126,7 +136,7 @@ class TestSystemicRedundancy:
         system, gains = scalar_two_channel
         report = rq.systemic_redundancy(
             system, gains, 0.1, "monte_carlo", seed=5, n_paths=20_000,
-            horizon=15.0, dt=5e-3, hist_cells=48,
+            horizon=15.0, dt=5e-3,
         )
         assert report.r == pytest.approx(R_SCALAR_EPS_01, abs=0.15)
         assert report.provenance["mode_seeds"][0] != report.provenance["mode_seeds"][1]
@@ -156,6 +166,28 @@ class TestSystemicRedundancy:
         ]
         # sampling noise falls like 1/sqrt(n): a factor 5 here
         assert 2.0 < se[0] / se[1] < 12.0
+
+    @pytest.mark.parametrize("n_paths, plant, cells", [
+        (2_000, "scalar", 25), (100, "scalar", 9), (2_000, "plane", 13),
+    ])
+    def test_monte_carlo_histogram_cells_follow_path_count(
+        self, scalar_two_channel, n_paths, plant, cells
+    ):
+        # round(2 n^(1/(d+2))) cells per axis, Scott's histogram rule
+        system, gains = scalar_two_channel if plant == "scalar" else _constant_sigma_plane()
+        report = rq.systemic_redundancy(system, gains, 0.3, "monte_carlo", seed=1, n_paths=n_paths)
+        assert report.provenance["hist_cells"] == cells
+
+    # a fixed 64 cells per axis would bias the plane's r by ~1.26 bits
+    @pytest.mark.parametrize("plant, eps, tol", [("scalar", 0.1, 0.05), ("plane", 0.3, 0.15)])
+    def test_monte_carlo_r_near_closed_form(self, scalar_two_channel, plant, eps, tol):
+        system, gains = scalar_two_channel if plant == "scalar" else _constant_sigma_plane()
+        exact = rq.systemic_redundancy(system, gains, eps).r
+        sampled = [
+            rq.systemic_redundancy(system, gains, eps, "monte_carlo", seed=s, n_paths=2_000).r
+            for s in range(8)
+        ]
+        assert np.mean(sampled) == pytest.approx(exact, abs=tol)
 
     @pytest.mark.parametrize("n_paths", [19, 20])
     def test_monte_carlo_standard_error_needs_two_paths_per_shard(self, scalar_two_channel, n_paths):
@@ -746,6 +778,22 @@ def _flow_row(system, gains):
 )
 def test_typed_errors(scalar_two_channel, call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
+        call(*scalar_two_channel)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, gains: rq.systemic_redundancy(
+            system, gains, 0.1, "monte_carlo", hist_cells=64
+        ),
+        lambda system, gains: rq.epsilon_sweep(system, gains, [0.1], "monte_carlo", hist_cells=64),
+    ],
+    ids=["systemic_redundancy", "epsilon_sweep"],
+)
+def test_histogram_cells_are_not_a_setting(scalar_two_channel, call):
+    # the Monte Carlo route derives its cell count from n_paths and d
+    with pytest.raises(TypeError, match="hist_cells"):
         call(*scalar_two_channel)
 
 
