@@ -26,7 +26,10 @@ and 20k paths. The last one runs the
 flow route from a random 4x4 grid start on [-1, 1]^2 under A = -2I, B =
 [I, I], K = [I, 0]: the error of KL_1 against the exact interval-overlap
 reference of tests/oracles.py, next to the reported quadrature
-tolerance.
+tolerance. Last, ``solve_lyapunov`` on 1 400 seeded near-marginal plants
+(d 2-32, spectral abscissa -1 down to -1e-6, Q = W W^T): per margin, the
+worst difference from ``scipy.linalg.solve_continuous_lyapunov`` relative
+to max|P| and the number of plants that raised.
 
 Usage: python scripts/convergence_study.py [--out OUTDIR] [--quick]
 """
@@ -37,6 +40,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 import redunquant as rq
 from redunquant.errors import NumericalError
@@ -215,6 +219,30 @@ def main():
         lines.append(f"{t},{kl:.12e},{exact:.12e},{abs(kl - exact):.6e},{tol:.6e}")
         print(f"  t={t:5.2f}  |error|={abs(kl - exact):.2e}  tolerance={tol:.2e} bits")
     (args.out / "grid_start_flow.csv").write_text("\n".join(lines) + "\n")
+
+    rng = np.random.default_rng(2024)
+    lines = ["margin,plants,raised,worst_rel_diff,worst_d"]
+    print("\nsolve_lyapunov vs scipy on near-marginal plants, 200 per margin, d 2-32:")
+    for margin in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        worst, worst_d, raised = 0.0, 0, 0
+        for _ in range(200):
+            d = int(rng.integers(2, 33))
+            M = rng.uniform(-2.0, 2.0, (d, d))
+            A = M - (rq.spectral_abscissa(M) + margin) * np.eye(d)
+            W = rng.standard_normal((d, d))
+            Q = W @ W.T
+            reference = scipy.linalg.solve_continuous_lyapunov(A, -Q)
+            try:
+                P = rq.solve_lyapunov(A, Q)
+            except NumericalError:
+                raised += 1
+                continue
+            diff = float(np.abs(P - reference).max() / np.abs(reference).max())
+            if diff > worst:
+                worst, worst_d = diff, d
+        lines.append(f"{margin},200,{raised},{worst:.6e},{worst_d}")
+        print(f"  margin={margin:7.0e}  worst rel diff={worst:.2e} (d={worst_d})  raised={raised}/200")
+    (args.out / "lyapunov_near_marginal.csv").write_text("\n".join(lines) + "\n")
     print(f"\nwrote CSVs to {args.out}/")
 
 

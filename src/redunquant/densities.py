@@ -120,12 +120,14 @@ class GaussianDensity:
             raise DomainError("cov is not symmetric within 1e-12")
         cov = 0.5 * (cov + cov.T)
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise DomainError("cov is not positive definite") from None
         cov.setflags(write=False)
+        chol.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_chol", chol)  # lower L with L L^T = cov
 
     @property
     def dim(self) -> int:
@@ -133,12 +135,9 @@ class GaussianDensity:
 
     def logpdf(self, x) -> np.ndarray | float:
         pts, single = _as_points(x, self.dim)
-        chol = np.linalg.cholesky(self.cov)
-        diff = pts - self.mean
-        z = np.linalg.solve(chol, diff.T)
-        quad = np.sum(z * z, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)
+        z = np.linalg.solve(self._chol, (pts - self.mean).T)
+        logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
+        out = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
         return float(out[0]) if single else out
 
     def pdf(self, x) -> np.ndarray | float:

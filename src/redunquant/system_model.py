@@ -5,10 +5,10 @@ the four operations here: closed-loop assembly, spectra, matrix
 exponentials and Lyapunov solves. Matrices are small dense float arrays;
 all values are immutable after construction.
 
-``scipy.linalg`` is imported inside ``matrix_exponential`` and
-``solve_lyapunov``, not at module top. Its import takes ~0.3 s, about
-half of a short CLI process, and the paths that need only spectra
-(verification, stepping and sampling the SDE) never pay it.
+``scipy.linalg`` is imported inside ``matrix_exponential``, not at module
+top. Its import takes ~0.3 s, about half of a short CLI process, and the
+paths that need only spectra and Lyapunov solves (verification, the SDE
+and the closed form) never pay it.
 """
 
 from __future__ import annotations
@@ -231,22 +231,42 @@ def matrix_exponential(M: np.ndarray, t: float) -> np.ndarray:
     return E
 
 
+def _smith_sweep(A: np.ndarray, eig: np.ndarray):
+    """Solver of A X + X A^T + C = 0 for any symmetric C, given eig(A), A Hurwitz.
+
+    Squared Smith iteration (Smith 1968; Penzl 2000) on the Cayley transform
+    U = W (A + pI), W = (A - pI)^-1, p = sqrt(max|eig| min|eig|), rho(U) < 1:
+    X = sum_k U^k (2p W C W^T) U^kT by doubling until max|U^(2^k)| <= 1e-9.
+    """
+    modulus = np.abs(eig)
+    p = np.sqrt(modulus.max() * modulus.min())
+    W = np.linalg.inv(A - p * np.eye(len(A)))
+    U = W @ (A + p * np.eye(len(A)))
+    powers = []
+    while not np.abs(U).max() <= 1e-9:  # a non-finite U runs into the cap
+        if len(powers) == 64:  # 57 reach the round-off margin that solve_lyapunov rejects
+            raise NumericalError("Smith iteration did not converge in 64 doublings")
+        powers.append(U)
+        U = U @ U
+
+    def sweep(C: np.ndarray) -> np.ndarray:
+        X = 2.0 * p * (W @ C @ W.T)
+        for U_k in powers:
+            X = X + U_k @ X @ U_k.T
+        return X
+
+    return sweep
+
+
 def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve A_cl P + P A_cl^T + Q = 0 for symmetric PSD P.
 
-    Bartels-Stewart (CACM 15:820-826, 1972) on one real Schur form
-    A_cl = Z T Z^T, O(d^3). LAPACK's T is standardized: each complex pair
-    sits in a 2x2 block whose two diagonal entries are its real part, so
-    the Hurwitz test reads the spectral abscissa off diag(T) and no
-    separate eigenvalue solve is made. LAPACK ``trsyl`` then solves
-    T Y + Y T^T = Z^T (-Q) Z and P = Z Y Z^T, in the operation order of
-    ``scipy.linalg.solve_continuous_lyapunov``, whose result this matches
-    bit for bit, except that a near-singular equation (two eigenvalues
-    summing to about machine precision times ||A_cl||, which trsyl
-    perturbs) raises NumericalError instead of returning a wrong P.
-    Requires finite entries (DomainError before any arithmetic), A_cl
-    Hurwitz and Q symmetric PSD. The result is symmetrized and checked
-    against the residual bound
+    One eigenvalue solve gives the Hurwitz test and the shift of the Smith
+    sweep, and a second sweep on the residual refines P. Requires finite
+    entries (DomainError before any arithmetic), A_cl Hurwitz and Q symmetric
+    PSD; an abscissa alpha with 2|alpha| <= machine eps * ||A_cl||_F (two
+    eigenvalues sum to 0 within round-off) raises NumericalError. P is
+    symmetrized and checked against the residual bound
     ||A P + P A^T + Q||_F <= 1e-10 (1 + ||Q||_F + ||A||_F ||P||_F).
     """
     A_cl = np.asarray(A_cl, dtype=float)
@@ -263,33 +283,23 @@ def solve_lyapunov(A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) < -1e-10 * q_scale:
         raise DomainError("Q must be positive semidefinite")
 
-    import scipy.linalg  # lazy; see the module docstring
-
     try:
-        T, Z = scipy.linalg.schur(A_cl, output="real")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    alpha = float(np.diag(T).max())
+        eig = np.linalg.eigvals(A_cl)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+    alpha = float(eig.real.max())
     if alpha >= 0.0:
         raise NotHurwitzError(f"A_cl has spectral abscissa {alpha!r} >= 0")
-    Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, Z.T @ (-Q @ Z), tranb="T")
-    if info != 0:  # 1: trsyl perturbed a near-singular equation
-        raise NumericalError(
-            f"Lyapunov solve failed (trsyl info {info}): two eigenvalues of A_cl "
-            "sum to nearly zero, so the solution has no accurate digits"
-        )
-    Y *= scale
-    P = Z @ Y @ Z.T
-    P = 0.5 * (P + P.T)
-
-    residual = float(np.linalg.norm(A_cl @ P + P @ A_cl.T + Q, "fro"))
-    bound = 1e-10 * (
-        1.0
-        + float(np.linalg.norm(Q, "fro"))
-        + float(np.linalg.norm(A_cl, "fro")) * float(np.linalg.norm(P, "fro"))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_norm = float(np.linalg.norm(A_cl, "fro"))
+        if -2.0 * alpha <= np.finfo(float).eps * a_norm:
+            raise NumericalError(f"A_cl has spectral abscissa {alpha!r}, zero within round-off")
+        sweep = _smith_sweep(A_cl, eig)
+        P = sweep(Q)
+        P = P + sweep(A_cl @ P + P @ A_cl.T + Q)  # one refinement step
+        P = 0.5 * (P + P.T)
+        residual = float(np.linalg.norm(A_cl @ P + P @ A_cl.T + Q, "fro"))
+        bound = float(1e-10 * (1.0 + np.linalg.norm(Q, "fro") + a_norm * np.linalg.norm(P, "fro")))
     if not residual <= bound:  # also rejects a non-finite P
-        raise NumericalError(
-            f"Lyapunov residual {residual!r} exceeds tolerance {bound!r}"
-        )
+        raise NumericalError(f"Lyapunov residual {residual!r} exceeds tolerance {bound!r}")
     return P

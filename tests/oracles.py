@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own code paths:
 entropies and divergences come from adaptive quadrature of the defining
 integrals, reliability from characteristic-polynomial root finding,
 Lyapunov solutions from the dense Kronecker-vectorized system (the library
-uses Bartels-Stewart), stabilizing Riccati solutions from the
+uses the squared Smith iteration), Gaussian relative entropies and
+entropies from an explicit inverse and ``slogdet`` (the library reads
+Cholesky factors), stabilizing Riccati solutions from the
 Newton-Kleinman iteration and from scipy's extended-pencil QZ solver (the
 library uses the Schur form of the Hamiltonian), null vectors of the
 finite-volume stationary operator from shifted inverse iteration (the
@@ -90,6 +92,23 @@ def lyapunov_reference(A_cl, Q):
     vec_p = np.linalg.solve(L, -np.asarray(Q, float).flatten(order="F"))
     P = vec_p.reshape((d, d), order="F")
     return 0.5 * (P + P.T)
+
+
+def gaussian_kl_reference(q, p) -> float:
+    """D(q || p) in bits by the textbook formula, with an explicit inverse:
+    0.5 (tr(P^-1 Q) - d + dmu^T P^-1 dmu + ln det P - ln det Q) / ln 2."""
+    p_inv = np.linalg.inv(p.cov)
+    diff = q.mean - p.mean
+    logdet_p = np.linalg.slogdet(p.cov)[1]
+    logdet_q = np.linalg.slogdet(q.cov)[1]
+    nats = np.trace(p_inv @ q.cov) - q.dim + diff @ p_inv @ diff + logdet_p - logdet_q
+    return float(0.5 * nats / np.log(2.0))
+
+
+def gaussian_entropy_reference(g) -> float:
+    """0.5 log2((2 pi e)^d det cov), the log-determinant from ``slogdet``."""
+    nats = 0.5 * (g.dim * np.log(2.0 * np.pi * np.e) + np.linalg.slogdet(g.cov)[1])
+    return float(nats / np.log(2.0))
 
 
 def care_newton_kleinman(A, B, R, Q):

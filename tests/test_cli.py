@@ -593,10 +593,16 @@ class TestMainEntryPoint:
 
             assert not scipy_modules(), scipy_modules()
             common = ["--config", {str(config)!r}, "--out", {str(tmp_path / "o")!r}]
-            for argv in (["verify"], ["simulate"], ["redundancy", "--method", "monte_carlo"]):
+            for argv in (
+                ["verify"],
+                ["simulate"],
+                ["redundancy", "--method", "monte_carlo"],
+                ["redundancy"],
+                ["sweep-eps"],
+            ):
                 assert cli.main(argv + common) == 0, argv
                 assert not scipy_modules(), (argv, scipy_modules())
-            assert cli.main(["redundancy"] + common) == 0
+            assert cli.main(["synth"] + common) == 0
             assert "scipy.linalg" in sys.modules
             """
         )

@@ -219,7 +219,11 @@ class TestLyapunov:
         np.testing.assert_allclose(P, lyapunov_reference(A_cl, Q), rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
-    def test_bit_identical_to_scipy_bartels_stewart(self, d):
+    def test_matches_scipy_bartels_stewart(self, d):
+        # scipy's Schur solver is an independent reference. The worst
+        # difference, relative to max|P|, is 7.4e-14 on these 50 equations
+        # (d = 32) and 9.2e-14 on the 200 margin-0.1 plants of
+        # scripts/convergence_study.py; 400 more such plants reached 1.8e-13
         import scipy.linalg
 
         rng = seeded(d)
@@ -228,7 +232,28 @@ class TestLyapunov:
             W = rng.standard_normal((d, d))
             Q = W @ W.T
             expected = scipy.linalg.solve_continuous_lyapunov(A_cl, -Q)
-            np.testing.assert_array_equal(rq.solve_lyapunov(A_cl, Q), 0.5 * (expected + expected.T))
+            difference = np.abs(rq.solve_lyapunov(A_cl, Q) - expected).max()
+            assert difference <= 2e-13 * np.abs(expected).max()
+
+    def test_near_marginal_non_normal_plant_needs_the_refinement_step(self):
+        # abscissa -1.0e-6: one Smith sweep leaves a residual of 0.26 against
+        # the bound 0.15; the sweep on its residual brings it to ~7e-8
+        import scipy.linalg
+
+        A_cl = np.array(
+            [[-1.16028328130594, -1.8592429271083921], [0.7308894225311937, 1.16028128130594]]
+        )
+        Q = np.array(
+            [[0.09376173017346814, -0.3932893421323493], [-0.3932893421323493, 6.5675321109213955]]
+        )
+        P = rq.solve_lyapunov(A_cl, Q)
+        residual = np.linalg.norm(A_cl @ P + P @ A_cl.T + Q, "fro")
+        bound = 1e-10 * (
+            1.0 + np.linalg.norm(Q, "fro") + np.linalg.norm(A_cl, "fro") * np.linalg.norm(P, "fro")
+        )
+        assert residual <= bound
+        expected = scipy.linalg.solve_continuous_lyapunov(A_cl, -Q)
+        assert np.abs(P - expected).max() <= 1e-6 * np.abs(expected).max()
 
     @pytest.mark.parametrize(
         "A_cl",
@@ -240,7 +265,7 @@ class TestLyapunov:
         ],
         ids=["zero", "rotation", "jordan_block_at_0", "abscissa_1e-3"],
     )
-    def test_abscissa_from_schur_diagonal_rejects_non_hurwitz(self, A_cl):
+    def test_abscissa_rejects_non_hurwitz(self, A_cl):
         with pytest.raises(NotHurwitzError):
             rq.solve_lyapunov(np.array(A_cl), np.eye(len(A_cl)))
 
@@ -263,10 +288,21 @@ class TestLyapunov:
         ids=["real", "complex_pair"],
     )
     def test_near_singular_equation_raises(self, A_cl):
-        # Hurwitz, but two eigenvalues sum to ~1e-17: trsyl perturbs the
-        # equation, and the perturbed P is not even positive definite
-        with pytest.raises(rq.NumericalError, match="trsyl"):
+        # Hurwitz, but two eigenvalues sum to ~1e-17, below round-off of
+        # ||A_cl||: no P computed in double precision has accurate digits
+        with pytest.raises(rq.NumericalError, match="zero within round-off"):
             rq.solve_lyapunov(A_cl, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "A_cl, match",
+        [([[-1e-310]], "did not converge"), ([[-1.0, 1e300], [0.0, -2.0]], "round-off")],
+        ids=["subnormal_shift", "overflowing_norm"],
+    )
+    def test_unrepresentable_equation_raises_numerical_error(self, A_cl, match):
+        # a subnormal spectrum underflows the Smith shift to 0, so U = I never
+        # decays; ||A_cl||_F overflows to inf, and no warning escapes either
+        with pytest.raises(rq.NumericalError, match=match):
+            rq.solve_lyapunov(np.array(A_cl), np.eye(len(A_cl)))
 
     @given(seed=st.integers(0, 10_000), d=st.integers(1, 6))
     @settings(max_examples=30)
