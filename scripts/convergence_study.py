@@ -29,7 +29,14 @@ reference of tests/oracles.py, next to the reported quadrature
 tolerance. Last, ``solve_lyapunov`` on 1 400 seeded near-marginal plants
 (d 2-32, spectral abscissa -1 down to -1e-6, Q = W W^T): per margin, the
 worst difference from ``scipy.linalg.solve_continuous_lyapunov`` relative
-to max|P| and the number of plants that raised.
+to max|P| and the number of plants that raised. Then the two other dense
+kernels against scipy: ``matrix_exponential`` on 120 seeded non-normal
+matrices (d 1-32, ||Mt||_F 0.01-50, t of both signs), the worst relative
+difference from ``scipy.linalg.expm`` per d; and ``solve_care_newton`` on
+1 100 seeded plants (d 1-32, Q = I, R = I/theta on the synthesis ladder
+theta = 1, 2, ..., 1024), per theta the worst difference from
+``scipy.linalg.solve_continuous_are`` relative to max|P|, the worst
+scaled Riccati residual and the number that raised.
 
 Usage: python scripts/convergence_study.py [--out OUTDIR] [--quick]
 """
@@ -243,6 +250,55 @@ def main():
         lines.append(f"{margin},200,{raised},{worst:.6e},{worst_d}")
         print(f"  margin={margin:7.0e}  worst rel diff={worst:.2e} (d={worst_d})  raised={raised}/200")
     (args.out / "lyapunov_near_marginal.csv").write_text("\n".join(lines) + "\n")
+
+    rng = np.random.default_rng(2026)
+    lines = ["d,evaluations,worst_rel_diff,worst_norm_mt"]
+    print("\nmatrix_exponential vs scipy.linalg.expm, 20 non-normal M per d, ||Mt||_F 0.01-50, t of both signs:")
+    for d in (1, 2, 4, 8, 16, 32):
+        worst, worst_norm, evaluations = 0.0, 0.0, 0
+        for _ in range(20):
+            M = rng.standard_normal((d, d)) + np.triu(rng.uniform(-3.0, 3.0, (d, d)), 1)
+            for size in (0.01, 1.0, 5.0, 20.0, 50.0):
+                for t in (size, -size) / np.linalg.norm(M):
+                    reference = scipy.linalg.expm(M * t)
+                    diff = float(np.linalg.norm(rq.matrix_exponential(M, t) - reference)
+                                 / np.linalg.norm(reference))
+                    evaluations += 1
+                    if diff > worst:
+                        worst, worst_norm = diff, size
+        lines.append(f"{d},{evaluations},{worst:.6e},{worst_norm}")
+        print(f"  d={d:2d}  worst rel diff={worst:.2e} (||Mt||={worst_norm:g})")
+    (args.out / "expm_vs_scipy.csv").write_text("\n".join(lines) + "\n")
+
+    rng = np.random.default_rng(2027)
+    lines = ["theta,plants,raised,worst_rel_diff,worst_d,worst_scaled_residual"]
+    print("\nsolve_care_newton vs scipy.linalg.solve_continuous_are, 100 plants per theta, d 1-32:")
+    for theta in 2.0 ** np.arange(11):
+        worst, worst_d, worst_residual, raised = 0.0, 0, 0.0, 0
+        for _ in range(100):
+            d = int(rng.integers(1, 33))
+            A = rng.uniform(-2.0, 2.0, (d, d))
+            B = rng.uniform(-2.0, 2.0, (d, int(rng.integers(1, 5))))
+            Q, R = np.eye(d), np.eye(B.shape[1]) / theta
+            reference = scipy.linalg.solve_continuous_are(A, B, Q, R)
+            try:
+                P = rq.solve_care_newton(A, B, R, Q)
+            except NumericalError:
+                raised += 1
+                continue
+            G = B @ np.linalg.solve(R, B.T)
+            norm_p = np.linalg.norm(P)
+            scale = 1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
+            worst_residual = max(
+                worst_residual, float(np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q) / scale)
+            )
+            diff = float(np.abs(P - reference).max() / np.abs(reference).max())
+            if diff > worst:
+                worst, worst_d = diff, d
+        lines.append(f"{theta:g},100,{raised},{worst:.6e},{worst_d},{worst_residual:.6e}")
+        print(f"  theta={theta:5g}  worst rel diff={worst:.2e} (d={worst_d})  "
+              f"worst scaled residual={worst_residual:.1e}  raised={raised}/100")
+    (args.out / "riccati_vs_scipy.csv").write_text("\n".join(lines) + "\n")
     print(f"\nwrote CSVs to {args.out}/")
 
 

@@ -7,14 +7,12 @@ is the ground-truth decision procedure (strict inequality, no slack);
 verification passes. Synthesis failure carries the best report found but
 is not a certificate that no reliable gain set exists, except when the
 plant is not stabilizable at all, which is tested before the ladder. Each
-Riccati design is one ordered real Schur decomposition of the Hamiltonian
-(``solve_care_newton``, a name kept from the Newton-Kleinman iteration it
-replaced). On the ladder, the nominal loop A + B K of each rung is the
-Riccati closed loop A - G P, so the rung takes the Riccati stabilizing
-check from ``verify_reliable``'s nominal abscissa and computes that
-spectrum once. Verification needs only numpy; only the Riccati solve
-imports ``scipy.linalg``, on its first call, so that ``verify`` does not
-pay its ~0.3 s import.
+Riccati design is one Newton iteration for the matrix sign function of the
+Hamiltonian (``solve_care_newton``). On the ladder, the nominal loop
+A + B K of each rung is the Riccati closed loop A - G P, so the rung takes
+the Riccati stabilizing check from ``verify_reliable``'s nominal abscissa
+and computes that spectrum once. Verification and synthesis need only
+numpy.
 """
 
 from __future__ import annotations
@@ -64,16 +62,19 @@ def solve_care_newton(
 ) -> np.ndarray:
     """Stabilizing solution of A^T P + P A - P B R^{-1} B^T P + Q = 0.
 
-    Solved by the Schur method (Laub, IEEE TAC 24:913-921, 1979): the real
-    Schur form of the Hamiltonian H = [[A, -G], [-Q, -A^T]], G = B R^{-1} B^T,
-    ordered with its stable eigenvalues first, spans the stable invariant
-    subspace [U11; U21], and P = U21 U11^{-1}. No stabilizing initial gain
-    is needed. The result is accepted when exactly d eigenvalues of H are
-    stable, the Riccati residual is at most ``tol`` times a backward-error
-    scale, and A - G P is Hurwitz. The name predates the Schur method and
-    is kept because callers and timing tools look the function up by it.
+    Solved through the matrix sign function of the Hamiltonian H = [[A, -G],
+    [-Q, -A^T]], G = B R^{-1} B^T: Newton's iteration Z <- (mu Z + (mu Z)^-1)/2
+    from Z = H, with the norm scaling mu = sqrt(||Z^-1||_F / ||Z||_F)
+    (Roberts, Int. J. Control 32:677-687, 1980; Byers, Linear Algebra Appl.
+    85:267-279, 1987), converges to Z = sign(H), and P is the least-squares
+    solution of [Z12; Z22 + I] P = -[Z11 + I; Z21] (Gardiner & Laub, Int. J.
+    Control 44:823-832, 1986). No stabilizing initial gain is needed. The
+    result is accepted when the iteration converges within 100 steps
+    (it cannot when H has eigenvalues on the imaginary axis), exactly d
+    eigenvalues of H are stable, (2d - trace Z)/2, the Riccati residual is
+    at most ``tol`` times a backward-error scale, and A - G P is Hurwitz.
     """
-    P, G = _care_schur(A, B, R, Q, tol)
+    P, G = _care_sign(A, B, R, Q, tol)
     alpha = spectral_abscissa(A - G @ P)
     if alpha >= 0.0:
         raise NumericalError(
@@ -82,22 +83,52 @@ def solve_care_newton(
     return P
 
 
-def _care_schur(A, B, R, Q, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_care_newton`` without its Hurwitz check of A - G P: (P, G)."""
-    import scipy.linalg  # lazy; see the module docstring
+#: Steps of the sign iteration before it gives up. Scaled Newton takes
+#: 5-12 on the benchmark's synthesis plants (d 4-32); an eigenvalue of H at
+#: distance delta from the imaginary axis adds about log2(1/delta), and one
+#: on the axis never converges.
+_SIGN_STEPS = 100
 
+
+def _care_sign(A, B, R, Q, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_care_newton`` without its Hurwitz check of A - G P: (P, G)."""
     d = A.shape[0]
     G = B @ np.linalg.solve(R, B.T)
+    Z = np.block([[A, -G], [-Q, -A.T]])
+    if not np.all(np.isfinite(Z)):
+        raise NumericalError("Riccati solve failed: the Hamiltonian has non-finite entries")
+    eta = 2 * d * np.finfo(float).eps
     try:
-        _, U, n_stable = scipy.linalg.schur(np.block([[A, -G], [-Q, -A.T]]), sort="lhp")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            norm = np.linalg.norm(Z)
+            for _ in range(_SIGN_STEPS):
+                Z_inv = np.linalg.inv(Z)
+                norm_inv = np.linalg.norm(Z_inv)
+                mu = np.sqrt(norm_inv / norm)
+                Z_next = (0.5 * mu) * Z + (0.5 / mu) * Z_inv
+                step = np.linalg.norm(Z_next - Z)
+                Z, norm = Z_next, np.linalg.norm(Z_next)
+                # the next step would move Z by about ||Z^-1|| step^2 / 2: stop
+                # when that is below round-off, so a floor of the step cannot stall
+                if step**2 * norm_inv <= eta * norm:
+                    break
+            else:
+                raise NumericalError(
+                    f"Riccati solve failed: the sign iteration did not converge in "
+                    f"{_SIGN_STEPS} steps; the Hamiltonian has eigenvalues on or "
+                    "near the imaginary axis"
+                )
+        n_stable = round(d - 0.5 * float(np.trace(Z)))  # sign(H) has trace n_unstable - n_stable
         if n_stable != d:
             raise NumericalError(
                 f"Riccati solve failed: the Hamiltonian has {n_stable} stable "
                 f"eigenvalues, not {d}"
             )
-        # P = U21 U11^{-1}, so P^T solves U11^T P^T = U21^T
-        P = np.linalg.solve(U[:d, :d].T, U[d:, :d].T)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        # (Z + I) [I; P] = 0 on the stable subspace: P in least squares, by QR
+        identity = np.eye(d)
+        basis, triangle = np.linalg.qr(np.vstack([Z[:d, d:], Z[d:, d:] + identity]))
+        P = np.linalg.solve(triangle, basis.T @ -np.vstack([Z[:d, :d] + identity, Z[d:, :d]]))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Riccati solve failed: {exc}") from exc
     P = 0.5 * (P + P.T)
     residual = float(np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q, "fro"))
@@ -177,7 +208,7 @@ def _synthesize(sys: MultiChannelSystem) -> tuple[GainSet, ReliabilityReport]:
     best_report: ReliabilityReport | None = None
     theta = 1.0
     while theta <= _THETA_MAX:
-        P, _ = _care_schur(sys.A, B_full, R / theta, Q)
+        P, _ = _care_sign(sys.A, B_full, R / theta, Q)
         K_full = -theta * (B_full.T @ P)
         gains = GainSet(np.split(K_full, splits, axis=0))
         report = verify_reliable(sys, gains)

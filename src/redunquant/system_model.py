@@ -5,15 +5,15 @@ the four operations here: closed-loop assembly, spectra, matrix
 exponentials and Lyapunov solves. Matrices are small dense float arrays;
 all values are immutable after construction.
 
-``scipy.linalg`` is imported inside ``matrix_exponential``, not at module
-top. Its import takes ~0.3 s, about half of a short CLI process, and the
-paths that need only spectra and Lyapunov solves (verification, the SDE
-and the closed form) never pay it.
+Every kernel here runs on numpy alone. Importing scipy adds ~0.2 s, about
+as much as the rest of a short CLI process, so only the grid route, which
+needs a sparse LU, loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, frexp
 from typing import Sequence, Union
 
 import numpy as np
@@ -213,17 +213,56 @@ def spectral_abscissa(M: np.ndarray) -> float:
     return float(eig.real.max())
 
 
+#: Numerator coefficients c_k = (26 - k)! 13! / (26! k! (13 - k)!) of the
+#: [13/13] Pade approximant of exp, normalized so that c_0 = 1 (so exp(0)
+#: is I exactly); the denominator's are (-1)^k c_k. The rows combine
+#: (X^6, X^4, X^2, I) into the four polynomials of U = X (X^6 U_6 + U_0)
+#: and V = X^6 V_6 + V_0: U_6, U_0, V_6, V_0.
+_c = [  # int / int is correctly rounded
+    factorial(26 - k) * factorial(13) / (factorial(26) * factorial(k) * factorial(13 - k))
+    for k in range(14)
+]
+_PADE13 = np.array(
+    [
+        [_c[13], _c[11], _c[9], 0.0],
+        [_c[7], _c[5], _c[3], _c[1]],
+        [_c[12], _c[10], _c[8], 0.0],
+        [_c[6], _c[4], _c[2], _c[0]],
+    ]
+)
+del _c
+#: The largest ||X||_1 at which the [13/13] approximant meets unit round-off
+#: in backward error (Higham 2005, Table 2.3).
+_THETA13 = 5.371920351148152
+
+
 def matrix_exponential(M: np.ndarray, t: float) -> np.ndarray:
-    """exp(M t) by scaling-and-squaring (relative error ~1e-12 for ||Mt|| <= 50)."""
+    """exp(M t) by scaling-and-squaring (relative error ~1e-12 for ||Mt|| <= 50).
+
+    Higham (SIAM J. Matrix Anal. Appl. 26:1179-1193, 2005): X = M t / 2^s,
+    with the least s >= 0 that makes ||X||_1 < 5.37, goes through the
+    [13/13] Pade approximant (V - U)^-1 (V + U), whose U and V are formed
+    from X^2, X^4 and X^6, and the result is squared s times.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"M must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)) or not np.isfinite(t):
         raise DomainError("matrix exponential inputs must be finite")
-    import scipy.linalg  # lazy; see the module docstring
-
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M * float(t))
+        X = M * float(t)
+        s = max(0, frexp(float(np.abs(X).sum(axis=0).max(initial=0.0)) / _THETA13)[1])
+        X = X / 2.0**s
+        X2 = X @ X
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        powers = np.array([X6, X4, X2, np.eye(len(X))])
+        U6, U0, V6, V0 = (_PADE13 @ powers.reshape(4, -1)).reshape(powers.shape)
+        U = X @ (X6 @ U6 + U0)
+        V = X6 @ V6 + V0
+        E = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise NumericalError(
             f"matrix exponential overflowed for ||Mt|| = {np.linalg.norm(M) * abs(t):g}"

@@ -8,7 +8,7 @@ uses the squared Smith iteration), Gaussian relative entropies and
 entropies from an explicit inverse and ``slogdet`` (the library reads
 Cholesky factors), stabilizing Riccati solutions from the
 Newton-Kleinman iteration and from scipy's extended-pencil QZ solver (the
-library uses the Schur form of the Hamiltonian), null vectors of the
+library uses the matrix sign function of the Hamiltonian), null vectors of the
 finite-volume stationary operator from shifted inverse iteration (the
 library uses one pinned direct solve), that operator itself from COO
 triplets (the library adds to dense bands), and the Euler

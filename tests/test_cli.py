@@ -578,8 +578,8 @@ class TestMainEntryPoint:
         assert np.array(frame) @ np.array(frame).T == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_numpy_only_commands_do_not_import_scipy(self, tmp_path):
-        # one fresh interpreter: importing scipy.linalg costs about half of a
-        # short CLI process, so only commands that call a scipy kernel load it
+        # one fresh interpreter: importing scipy costs about half of a short
+        # CLI process, so only the grid route, which needs a sparse LU, loads it
         payload = dict(json.loads(BUNDLED_CONFIG.read_text()), sim={"n_paths": 2000})
         config = write_config(tmp_path, payload)
         script = textwrap.dedent(
@@ -599,11 +599,13 @@ class TestMainEntryPoint:
                 ["redundancy", "--method", "monte_carlo"],
                 ["redundancy"],
                 ["sweep-eps"],
+                ["synth"],
+                ["sweep-time"],
             ):
                 assert cli.main(argv + common) == 0, argv
                 assert not scipy_modules(), (argv, scipy_modules())
-            assert cli.main(["synth"] + common) == 0
-            assert "scipy.linalg" in sys.modules
+            assert cli.main(["fp-grid"] + common) == 0
+            assert "scipy.sparse.linalg" in sys.modules
             """
         )
         result = subprocess.run(

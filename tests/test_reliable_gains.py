@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,14 @@ def _riccati_cases():
         A = rng.uniform(-1.0, 1.0, (d, d))
         B = rng.uniform(-1.0, 1.0, (d, 2))
         yield pytest.param(A, B, np.eye(2), np.eye(d), care_newton_kleinman, id=f"random{k}")
-    # the closed_form benchmark's synthesis plants at both ends of the theta
-    # ladder; the Newton-Kleinman start does not stabilize the d=32 plant
-    for d in (4, 8, 16, 32):
+    # plants drawn like the closed_form benchmark's synthesis plants (at d 4-32
+    # they are those plants) on every rung of the theta ladder; the
+    # Newton-Kleinman start does not stabilize the d=32 plant
+    for d in (1, 2, 4, 8, 16, 32):
         rng = np.random.default_rng([0, d])
         A = rng.uniform(-2.0, 2.0, (d, d))
         B = np.hstack([rng.uniform(-2.0, 2.0, (d, 1)) for _ in range(4)])
-        for theta in (1.0, 1024.0):
+        for theta in 2.0 ** np.arange(11):
             yield pytest.param(
                 A, B, np.eye(4) / theta, np.eye(d), care_extended_pencil,
                 id=f"synth-d{d}-theta{theta:g}",
@@ -108,20 +111,35 @@ class TestRiccati:
         np.testing.assert_allclose(P, reference(A, B, R, Q), rtol=1e-7, atol=1e-9)
         G = B @ np.linalg.solve(R, B.T)
         assert np.linalg.eigvals(A - G @ P).real.max() < 0.0
+        # the solver accepts a scaled residual up to 1e-9, but reaches
+        # round-off: at most 3.7e-15 on these cases (1.7e-14 under Schur)
+        norm_p = np.linalg.norm(P)
+        scale = 1.0 + np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
+        assert np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Q) <= 1e-13 * scale
 
     @pytest.mark.parametrize(
-        "A, B",
+        "A, B, match",
         [
             # Hamiltonian eigenvalues +-i: no stable subspace of dimension d
-            pytest.param([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], id="imaginary-axis"),
-            pytest.param([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], id="uncontrollable"),
+            pytest.param([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], None, id="imaginary-axis"),
+            pytest.param([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], None, id="uncontrollable"),
+            # the same uncontrolled rotation beside a controlled unstable mode
+            pytest.param(
+                [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [[0.0], [0.0], [1.0]],
+                "did not converge in 100 steps", id="imaginary-axis-step-cap",
+            ),
         ],
     )
     @pytest.mark.parametrize("tol", [1e-9, np.inf], ids=["residual", "no-residual"])
-    def test_no_stabilizing_solution_raises(self, A, B, tol):
-        # with the residual bound off, the Schur split checks alone must fail
-        with pytest.raises(NumericalError):
-            solve_care_newton(np.array(A), np.array(B), np.eye(1), np.eye(2), tol=tol)
+    def test_no_stabilizing_solution_raises(self, A, B, match, tol):
+        # with the residual bound off, the sign iteration's own checks (its
+        # convergence, a nonsingular step, d stable eigenvalues, a full-rank
+        # least-squares system) and the Hurwitz check of A - G P must fail,
+        # and none of them may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=match):
+                solve_care_newton(np.array(A), np.array(B), np.eye(1), np.eye(len(A)), tol=tol)
 
 
 class TestSynthesis:
@@ -152,7 +170,7 @@ class TestSynthesis:
     )
     def test_unstabilizable_plant_fails_before_ladder(self, A, B, monkeypatch):
         system = rq.MultiChannelSystem(A, B, rq.ConstantDiffusion(np.eye(len(A))))
-        for name in ("solve_care_newton", "_care_schur"):
+        for name in ("solve_care_newton", "_care_sign"):
             monkeypatch.setattr(rq.reliable_gains, name, lambda *a, **k: pytest.fail("ladder ran"))
         with pytest.raises(SynthesisFailedError, match="not stabilizable") as err:
             rq.synthesize_gains(system)
@@ -190,7 +208,7 @@ class TestSynthesis:
         )
         # a Riccati "solution" P = 0 leaves the nominal loop at A = 1
         monkeypatch.setattr(
-            rq.reliable_gains, "_care_schur", lambda A, B, R, Q: (np.zeros_like(A), B @ B.T)
+            rq.reliable_gains, "_care_sign", lambda A, B, R, Q: (np.zeros_like(A), B @ B.T)
         )
         with pytest.raises(NumericalError, match="not stabilizing"):
             rq.synthesize_gains(system)
@@ -206,7 +224,7 @@ class TestSynthesis:
 
     def test_public_riccati_solver_keeps_its_hurwitz_check(self, monkeypatch):
         monkeypatch.setattr(
-            rq.reliable_gains, "_care_schur", lambda A, B, R, Q, tol: (np.zeros_like(A), B @ B.T)
+            rq.reliable_gains, "_care_sign", lambda A, B, R, Q, tol: (np.zeros_like(A), B @ B.T)
         )
         with pytest.raises(NumericalError, match="not stabilizing"):
             solve_care_newton(np.array([[1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))
@@ -245,6 +263,47 @@ class TestSynthesis:
             assert err.best_report.abscissae[0] < 0.0
         else:
             assert rq.verify_reliable(system, gains).reliable
+
+    def test_ladder_stops_on_the_rungs_of_the_schur_solver(self, monkeypatch):
+        # the ladder's outcome on seeded plants, and on the closed_form
+        # benchmark's four synthesis plants, as it was when each Riccati
+        # design came from an ordered real Schur form (scipy.linalg.schur):
+        # 0-a is log2 of the winning theta, "-" an exhausted ladder
+        schur_rungs = (
+            "--1----00----0---0-0--0000--0-000---0--000-8-06----"
+            "0----0-----------0------0-----0--8--0--------0---0-"
+            "000--0-0----10-a0---010-0070-00----000-01-1--00-002"
+            "0-0--0--0--0--7--0-8-0-0----00-----2-0--2-0--------"
+        )
+        thetas = []
+        solve = rq.reliable_gains._care_sign
+
+        def spy(A, B, R, Q):
+            thetas.append(1.0 / R[0, 0])
+            return solve(A, B, R, Q)
+
+        monkeypatch.setattr(rq.reliable_gains, "_care_sign", spy)
+        systems = []
+        for seed in range(200):
+            rng = np.random.default_rng([7, seed])
+            d, n = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+            systems.append(random_system(rng, d, n, [1] * n if seed % 2 else None))
+        for d in (4, 8, 16, 32):
+            rng = np.random.default_rng([0, d])
+            A = rng.uniform(-2.0, 2.0, (d, d))
+            B = [rng.uniform(-2.0, 2.0, (d, 1)) for _ in range(4)]
+            S = rng.uniform(-1.0, 1.0, (d, d)) + 1.5 * np.eye(d)
+            systems.append(rq.MultiChannelSystem(A, B, rq.ConstantDiffusion(S)))
+        outcomes = []
+        for system in systems:
+            thetas.clear()
+            try:
+                rq.synthesize_gains(system)
+            except SynthesisFailedError:
+                outcomes.append("-")
+            else:
+                outcomes.append(f"{int(np.log2(thetas[-1])):x}")
+        assert "".join(outcomes) == schur_rungs
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20)
